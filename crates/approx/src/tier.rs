@@ -1,4 +1,4 @@
-//! Tier selection and its wire/CLI syntax: `bq:<budget>` | `hnsw:<ef>`.
+//! Tier selection and its wire/CLI syntax: `bq:<budget>`.
 
 use std::fmt;
 use std::str::FromStr;
@@ -13,19 +13,13 @@ pub enum ApproxTier {
         /// Candidates kept per query (the Hamming-closest ids).
         budget: usize,
     },
-    /// In-memory HNSW beam search.
-    Hnsw {
-        /// Beam width = candidates kept per query.
-        ef: usize,
-    },
 }
 
 impl ApproxTier {
-    /// Per-query candidate volume (the budget / beam width).
+    /// Per-query candidate volume (the budget).
     pub fn budget(&self) -> usize {
         match *self {
             ApproxTier::Bq { budget } => budget,
-            ApproxTier::Hnsw { ef } => ef,
         }
     }
 }
@@ -34,7 +28,6 @@ impl fmt::Display for ApproxTier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ApproxTier::Bq { budget } => write!(f, "bq:{budget}"),
-            ApproxTier::Hnsw { ef } => write!(f, "hnsw:{ef}"),
         }
     }
 }
@@ -42,22 +35,21 @@ impl fmt::Display for ApproxTier {
 impl FromStr for ApproxTier {
     type Err = String;
 
-    /// Parses `bq:<budget>` or `hnsw:<ef>`; both numbers must be positive.
+    /// Parses `bq:<budget>`; the budget must be positive.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let (kind, num) = s
             .split_once(':')
-            .ok_or_else(|| format!("expected bq:<budget> or hnsw:<ef>, got '{s}'"))?;
+            .ok_or_else(|| format!("expected bq:<budget>, got '{s}'"))?;
+        if kind != "bq" {
+            return Err(format!("unknown approx tier '{kind}' (use bq)"));
+        }
         let n: usize = num
             .parse()
             .map_err(|_| format!("'{num}' is not a number in approx tier '{s}'"))?;
         if n == 0 {
             return Err(format!("approx tier '{s}' needs a positive budget"));
         }
-        match kind {
-            "bq" => Ok(ApproxTier::Bq { budget: n }),
-            "hnsw" => Ok(ApproxTier::Hnsw { ef: n }),
-            other => Err(format!("unknown approx tier '{other}' (use bq or hnsw)")),
-        }
+        Ok(ApproxTier::Bq { budget: n })
     }
 }
 
@@ -67,20 +59,15 @@ mod tests {
 
     #[test]
     fn parses_and_displays_round_trip() {
-        for s in ["bq:500", "hnsw:64"] {
-            let t: ApproxTier = s.parse().unwrap();
-            assert_eq!(t.to_string(), s);
-        }
-        assert_eq!(
-            "bq:500".parse::<ApproxTier>().unwrap(),
-            ApproxTier::Bq { budget: 500 }
-        );
-        assert_eq!("bq:500".parse::<ApproxTier>().unwrap().budget(), 500);
+        let t: ApproxTier = "bq:500".parse().unwrap();
+        assert_eq!(t.to_string(), "bq:500");
+        assert_eq!(t, ApproxTier::Bq { budget: 500 });
+        assert_eq!(t.budget(), 500);
     }
 
     #[test]
     fn rejects_malformed() {
-        for s in ["bq", "bq:", "bq:x", "bq:0", "lsh:5", "hnsw:-3"] {
+        for s in ["bq", "bq:", "bq:x", "bq:0", "lsh:5", "hnsw:64", "hnsw:-3"] {
             assert!(s.parse::<ApproxTier>().is_err(), "'{s}' should not parse");
         }
     }

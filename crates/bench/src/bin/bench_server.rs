@@ -19,7 +19,7 @@
 //!
 //! A third run drives the **overload** path: a ramp plan steps the
 //! offered rate past a deliberately small admission bound (`--max-queue`
-//! territory) on the event-loop frontend, asserting that saturation
+//! territory), asserting that saturation
 //! produces typed `Overloaded` rejections — never transport errors — and
 //! that the latency of *admitted* requests stays bounded while the queue
 //! sheds load.
@@ -43,7 +43,7 @@ use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_loadgen::{run, Mode, RequestPlan, RunOptions, RunReport, WorkloadSpec};
 use mq_obs::Recorder;
-use mq_server::{QueryServer, ServerConfig, SingleEngineBackend};
+use mq_server::{ServerConfig, SingleEngineBackend};
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use std::time::Duration;
 
@@ -129,7 +129,7 @@ fn main() {
         .with_max_batch(8)
         .with_max_wait(Duration::from_millis(2));
     let server =
-        QueryServer::bind_with_recorder("127.0.0.1:0", Box::new(backend), &config, &recorder)
+        FrontServer::bind_with_recorder("127.0.0.1:0", Box::new(backend), &config, &recorder)
             .expect("bind loopback server");
     let addr = server.local_addr().to_string();
 
@@ -173,7 +173,7 @@ fn main() {
         "server did not drain after both runs"
     );
 
-    // Overload run: a fresh event-loop frontend with a small per-
+    // Overload run: a fresh server with a small per-
     // collection queue bound, rammed past capacity by a step-rate ramp
     // with more concurrent connections than queue slots. Saturation must
     // surface as typed Overloaded rejections (shed at admission, before
@@ -259,7 +259,7 @@ fn main() {
         slo_p99 * 1e3
     ));
     json.push_str(&format!(
-        "  \"overload_config\": {{ \"frontend\": \"event\", \"max_queue\": {overload_queue}, \
+        "  \"overload_config\": {{ \"max_queue\": {overload_queue}, \
          \"requests\": {overload_requests}, \"ramp_end_qps\": {overload_end_qps}, \
          \"connections\": {} }},\n",
         overload_opts.connections

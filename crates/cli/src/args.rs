@@ -73,6 +73,24 @@ impl Args {
         }
     }
 
+    /// [`parse_or`](Self::parse_or) for sizes and rates that must be
+    /// positive: zero, a negative value or NaN is an error, not a panic
+    /// further down.
+    pub fn positive_or<T>(&self, key: &str, default: T) -> Result<T, ArgError>
+    where
+        T: std::str::FromStr + PartialOrd + Default,
+    {
+        let v = self.parse_or(key, default)?;
+        if v > T::default() {
+            Ok(v)
+        } else {
+            Err(ArgError(format!(
+                "--{key} must be positive, got '{}'",
+                self.string_or(key, "")
+            )))
+        }
+    }
+
     /// Whether an option was provided at all.
     pub fn has(&self, key: &str) -> bool {
         self.options.contains_key(key)
@@ -114,6 +132,15 @@ mod tests {
     fn bad_parse_reported() {
         let a = parse(&["g", "--n", "abc"]).unwrap();
         assert!(a.parse_or("n", 0usize).is_err());
+    }
+
+    #[test]
+    fn positive_or_rejects_zero() {
+        let a = parse(&["g", "--m", "0", "--rate", "0.5", "--sessions", "-1"]).unwrap();
+        assert!(a.positive_or("m", 1usize).is_err());
+        assert_eq!(a.positive_or("rate", 1.0).unwrap(), 0.5);
+        assert!(a.positive_or("sessions", 1i64).is_err());
+        assert_eq!(a.positive_or("missing", 4usize).unwrap(), 4);
     }
 
     #[test]

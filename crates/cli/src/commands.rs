@@ -1,9 +1,7 @@
 //! The CLI subcommands.
 
 use crate::args::Args;
-use mq_approx::{
-    ApproxTier, BinarySketch, BqPrescreen, Hnsw, HnswConfig, HnswPrescreen, DEFAULT_PLANES,
-};
+use mq_approx::{ApproxTier, BinarySketch, BqPrescreen, DEFAULT_PLANES};
 use mq_core::{CandidatePrescreen, CostModel, QueryEngine, QueryType, StatsProbe};
 use mq_datagen::{
     classification_query_ids, embeddings, image_histograms, tycho_like, uniform_vectors,
@@ -115,8 +113,8 @@ fn resolve_index_for_metric(
     Ok(which)
 }
 
-/// Parses `--approx bq:<budget>|hnsw:<ef>` (absent → exact engine). The
-/// candidate tiers rank by Euclidean proximity, so any other metric is
+/// Parses `--approx bq:<budget>` (absent → exact engine). The
+/// candidate tier ranks by Euclidean proximity, so any other metric is
 /// refused up front rather than silently mis-screened.
 fn parse_approx(
     args: &Args,
@@ -147,10 +145,6 @@ fn build_prescreen(
         ApproxTier::Bq { budget } => Box::new(BqPrescreen::new(
             Arc::new(BinarySketch::build(db, DEFAULT_PLANES)),
             budget,
-        )),
-        ApproxTier::Hnsw { ef } => Box::new(HnswPrescreen::new(
-            Arc::new(Hnsw::build(db, HnswConfig::default())),
-            ef,
         )),
     }
 }
@@ -284,10 +278,10 @@ pub fn query(args: &Args) -> CmdResult {
 }
 
 pub fn batch(args: &Args) -> CmdResult {
+    let m: usize = args.positive_or("m", 10)?;
     let stored = load(args)?;
     let qtype = parse_qtype(args)?;
     let n_queries: usize = args.parse_or("queries", 100)?;
-    let m: usize = args.parse_or("m", 10)?;
     let seed: u64 = args.parse_or("seed", 1)?;
     let metric_choice = parse_metric(args)?;
     let which = resolve_index_for_metric(args, metric_choice, "scan")?;
@@ -417,70 +411,17 @@ fn parse_quota(args: &Args) -> Result<Option<mq_server::QuotaConfig>, Box<dyn st
     Ok(Some(mq_server::QuotaConfig { rate, burst }))
 }
 
-/// The two interchangeable TCP frontends `mq serve` can run: the
-/// thread-per-connection accept loop and the single-threaded
-/// readiness-polled event loop. Both serve the same dispatcher contract
-/// and answer bit-identically.
-enum Frontend {
-    Threads(mq_server::QueryServer),
-    Event(mq_front::FrontServer),
-}
-
-impl Frontend {
-    fn local_addr(&self) -> std::net::SocketAddr {
-        match self {
-            Frontend::Threads(s) => s.local_addr(),
-            Frontend::Event(s) => s.local_addr(),
-        }
-    }
-    fn metrics(&self) -> mq_server::ServiceMetrics {
-        match self {
-            Frontend::Threads(s) => s.metrics(),
-            Frontend::Event(s) => s.metrics(),
-        }
-    }
-    fn registry(&self) -> &Arc<mq_server::CollectionRegistry> {
-        match self {
-            Frontend::Threads(s) => s.registry(),
-            Frontend::Event(s) => s.registry(),
-        }
-    }
-    fn in_flight(&self) -> u64 {
-        match self {
-            Frontend::Threads(s) => s.in_flight(),
-            Frontend::Event(s) => s.in_flight(),
-        }
-    }
-    /// Stops accepting new connections; existing ones keep being served.
-    fn begin_drain(&mut self) {
-        match self {
-            // The accept thread owns the only blocking accept() call;
-            // shutdown flips its flag and joins it, leaving handler
-            // threads to finish their in-flight requests.
-            Frontend::Threads(s) => s.shutdown(),
-            Frontend::Event(s) => s.begin_drain(),
-        }
-    }
-    fn drain(&self, timeout: std::time::Duration) -> bool {
-        match self {
-            Frontend::Threads(s) => s.drain(timeout),
-            Frontend::Event(s) => s.drain(timeout),
-        }
-    }
-}
-
 pub fn serve(args: &Args) -> CmdResult {
     use mq_obs::{Recorder, Registry};
     use mq_server::{
-        build_backend_with_recorder, ExecutionMode, FileIndex, QueryServer, ServerConfig,
-        StoreChoice,
+        build_backend_with_recorder, ExecutionMode, FileIndex, ServerConfig, StoreChoice,
     };
+    let max_batch: usize = args.positive_or("max-batch", 16)?;
     let stored = load(args)?;
     let addr = args.string_or("addr", "127.0.0.1:7878");
     let metric = parse_metric(args)?;
     let which = resolve_index_for_metric(args, metric, "xtree")?;
     let store = parse_store(args)?;
-    let max_batch: usize = args.parse_or("max-batch", 16)?;
     let max_wait_ms: u64 = args.parse_or("max-wait-ms", 20)?;
     let servers: usize = args.parse_or("cluster", 0)?;
     let threads: usize = args.parse_or("threads", 1)?;
@@ -495,12 +436,8 @@ pub fn serve(args: &Args) -> CmdResult {
     };
     let workers: usize = args.parse_or("workers", 1)?;
     let retry_budget: u32 = args.parse_or("retry-budget", 2)?;
-    // 0 = no timeout: a stalled client blocks its handler thread forever.
+    // 0 = no timeout: a silent connection stays open forever.
     let timeout_ms: u64 = args.parse_or("timeout-ms", 0)?;
-    let frontend = args.string_or("frontend", "threads");
-    if frontend != "threads" && frontend != "event" {
-        return Err(format!("unknown --frontend '{frontend}' (expected threads or event)").into());
-    }
     // 0 = unbounded queue (no depth-based admission control).
     let max_queue: usize = args.parse_or("max-queue", 0)?;
     let quota = parse_quota(args)?;
@@ -564,22 +501,10 @@ pub fn serve(args: &Args) -> CmdResult {
     // any point takes the graceful-drain path below.
     mq_front::signals::install();
 
-    let mut server = match frontend.as_str() {
-        "event" => Frontend::Event(mq_front::FrontServer::bind_with_recorder(
-            addr.as_str(),
-            backend,
-            &config,
-            &recorder,
-        )?),
-        _ => Frontend::Threads(QueryServer::bind_with_recorder(
-            addr.as_str(),
-            backend,
-            &config,
-            &recorder,
-        )?),
-    };
+    let server =
+        mq_front::FrontServer::bind_with_recorder(addr.as_str(), backend, &config, &recorder)?;
     println!(
-        "mq-server listening on {} ({} objects via {which}, {frontend} frontend)",
+        "mq-server listening on {} ({} objects via {which})",
         server.local_addr(),
         stored.object_count(),
     );
@@ -1008,11 +933,15 @@ pub fn loadgen(args: &Args) -> CmdResult {
         }
     } else {
         match args.string_or("mode", "open").as_str() {
-            "open" => Mode::Open {
-                offered_qps: args.parse_or("rate", 500.0)?,
-            },
+            "open" => {
+                let offered_qps: f64 = args.positive_or("rate", 500.0)?;
+                if !offered_qps.is_finite() {
+                    return Err("--rate must be finite".into());
+                }
+                Mode::Open { offered_qps }
+            }
             "closed" => Mode::Closed {
-                sessions: args.parse_or("sessions", 4)?,
+                sessions: args.positive_or("sessions", 4)?,
                 think: std::time::Duration::from_millis(args.parse_or("think-ms", 1)?),
             },
             other => return Err(format!("unknown --mode '{other}' (open|closed)").into()),

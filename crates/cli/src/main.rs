@@ -30,17 +30,17 @@ USAGE:
   mq query <FILE> --object <ID> (--knn <K> | --range <EPS>)
                 [--index scan|xtree|mtree|vafile]
                 [--metric euclidean|manhattan|cosine|dot]
-                [--approx bq:<BUDGET>|hnsw:<EF>]
+                [--approx bq:<BUDGET>]
       Run one similarity query and print answers plus cost counters.
       Non-Euclidean metrics require --index scan (tree and VA-file page
       bounds are Euclidean geometry). --approx prescreens candidates
       with a lossy tier (binary-quantized Hamming scan keeping BUDGET
-      ids, or an HNSW beam of width EF) and re-ranks them exactly —
-      recall may drop, reported distances never lie.
+      ids) and re-ranks them exactly — recall may drop, reported
+      distances never lie.
 
   mq batch <FILE> --queries <N> --m <M> (--knn <K> | --range <EPS>)
                 [--index scan|xtree|mtree|vafile] [--metric ...] [--seed <S>]
-                [--no-avoidance] [--approx bq:<BUDGET>|hnsw:<EF>]
+                [--no-avoidance] [--approx bq:<BUDGET>]
       Run N random queries in blocks of M and compare against singles.
       With --approx the blocks run through the approximate candidate
       tier (the singles baseline stays exact).
@@ -53,37 +53,34 @@ USAGE:
                 [--store sim|file:<DIR>] [--max-batch <M>] [--max-wait-ms <MS>]
                 [--cluster <S>] [--threads <T>] [--prefetch-depth <D>]
                 [--leader fifo|nearest] [--workers <W>] [--no-avoidance]
-                [--approx bq:<BUDGET>|hnsw:<EF>]
-                [--frontend threads|event] [--max-queue <N>]
+                [--approx bq:<BUDGET>] [--max-queue <N>]
                 [--quota <RATE:BURST>] [--drain-timeout-s <S>]
-      Serve the database over TCP, batching concurrent client queries
-      into multiple similarity queries (one engine, or a shared-nothing
-      cluster of S servers with --cluster). --store file:<DIR> serves
-      from a durable page store in DIR (created from <FILE> on first
-      start, recovered from segment + WAL afterwards; one store per
-      partition under --cluster). --threads sets the page-evaluation
-      threads per engine; --prefetch-depth stages pages ahead of
-      evaluation; --leader picks which pending query leads each step
-      (nearest = nearest-neighbor chains over the inter-query distance
-      matrix); --workers the number of scheduler threads executing
-      flushed batches. --metric selects the distance the engines
-      evaluate (non-Euclidean metrics require --index scan); clients
-      receive distances under the server's configured metric — e.g.
-      serve an embeddings database with --metric cosine --index scan.
-      A file store serves its recovered layout: --index scan or vafile
-      only (the VA page index summarizes the layout in place; trees
-      would repack and are refused). --approx installs the lossy
-      candidate tier in front of the exact engine; bq sketches persist
-      as sketch.mqbq next to a file store's pages and are reloaded,
-      checksum-verified, on restart. --frontend event swaps the
-      thread-per-connection accept loop for a single readiness-polled
-      event-loop thread (same batching tier, bit-identical answers).
-      --max-queue bounds in-flight queries per collection and --quota
-      installs a per-tenant token bucket; both reject with a typed
+      Serve the database over TCP from one readiness-polled event-loop
+      thread, batching concurrent client queries into multiple
+      similarity queries (one engine, or a shared-nothing cluster of S
+      servers with --cluster). --store file:<DIR> serves from a durable
+      page store in DIR (created from <FILE> on first start, recovered
+      from segment + WAL afterwards; one store per partition under
+      --cluster). --threads sets the page-evaluation threads per engine;
+      --prefetch-depth stages pages ahead of evaluation; --leader picks
+      which pending query leads each step (nearest = nearest-neighbor
+      chains over the inter-query distance matrix); --workers the number
+      of scheduler threads executing flushed batches. --metric selects
+      the distance the engines evaluate (non-Euclidean metrics require
+      --index scan); clients receive distances under the server's
+      configured metric — e.g. serve an embeddings database with
+      --metric cosine --index scan. A file store serves its recovered
+      layout: --index scan or vafile only (the VA page index summarizes
+      the layout in place; trees would repack and are refused). --approx
+      installs the lossy candidate tier in front of the exact engine; bq
+      sketches persist as sketch.mqbq next to a file store's pages and
+      are reloaded, checksum-verified, on restart. --max-queue bounds
+      in-flight queries per collection and --quota installs a
+      per-tenant token bucket; both reject with a typed
       Overloaded{retry_after_ms} reply instead of queueing unboundedly.
-      SIGTERM or Ctrl-C drains gracefully under either frontend: stop
-      accepting, answer every in-flight query (up to --drain-timeout-s),
-      checkpoint file-backed stores, exit 0.
+      SIGTERM or Ctrl-C drains gracefully: stop accepting, answer every
+      in-flight query (up to --drain-timeout-s), checkpoint file-backed
+      stores, exit 0.
 
   mq collection create --name <NAME> (--dim <D> | --source <FILE>)
                 [--metric euclidean|manhattan|cosine|dot] [--addr <ADDR>]

@@ -139,4 +139,55 @@ fn helpful_errors() {
     let help = mq(&["help"]);
     assert!(help.status.success());
     assert!(stdout(&help).contains("USAGE"));
+
+    // Zero-valued sizes and rates are refused with a one-line error and
+    // exit code 1, never a panic (exit code 101).
+    let db = tmpfile("errors.mqdb");
+    let db_str = db.to_str().unwrap();
+    assert!(
+        mq(&["generate", "--kind", "tycho", "--n", "200", "--out", db_str])
+            .status
+            .success()
+    );
+    for (args, key) in [
+        (vec!["serve", db_str, "--max-batch", "0"], "--max-batch"),
+        (vec!["batch", db_str, "--m", "0", "--knn", "3"], "--m"),
+        (
+            vec![
+                "loadgen",
+                "--mode",
+                "closed",
+                "--sessions",
+                "0",
+                "--knn",
+                "3",
+            ],
+            "--sessions",
+        ),
+        (
+            vec!["loadgen", "--mode", "open", "--rate", "0", "--knn", "3"],
+            "--rate",
+        ),
+    ] {
+        let out = mq(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains(&format!("{key} must be positive")),
+            "{args:?}: {err}"
+        );
+        assert_eq!(err.trim_end().lines().count(), 1, "{args:?}: {err}");
+    }
+
+    // The approximate tier accepts bq only.
+    let hnsw = mq(&[
+        "query", db_str, "--object", "1", "--knn", "3", "--approx", "hnsw:64",
+    ]);
+    assert_eq!(hnsw.status.code(), Some(1));
+    assert!(
+        String::from_utf8_lossy(&hnsw.stderr).contains("unknown approx tier 'hnsw'"),
+        "{}",
+        String::from_utf8_lossy(&hnsw.stderr)
+    );
+    std::fs::remove_file(&db).ok();
 }

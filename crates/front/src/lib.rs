@@ -1,12 +1,33 @@
 //! # mq-front — readiness-polled event-loop frontend
 //!
-//! A single poll thread drives every client connection over nonblocking
-//! sockets: no per-connection thread, no blocking reads. Decoded
-//! requests flow through the exact same [`Dispatcher`] as the
-//! thread-per-connection frontend in `mq_server::service`, and admitted
-//! queries are executed by the exact same [`BatchScheduler`] workers —
-//! the frontends differ only in how bytes get on and off the wire, which
-//! is what makes their replies bit-identical.
+//! The TCP frontend of the mquery service. A single poll thread drives
+//! every client connection over nonblocking sockets: no per-connection
+//! thread, no blocking reads. Decoded requests flow through
+//! `mq_server`'s [`Dispatcher`] (collection resolution, admission, admin
+//! opcodes), and admitted queries are executed by the
+//! [`BatchScheduler`](mq_server::BatchScheduler) workers of their
+//! collection. Because a connection may pipeline many requests, queries
+//! from one client can share a batch.
+//!
+//! ```no_run
+//! use mq_core::QueryType;
+//! use mq_front::FrontServer;
+//! use mq_index::LinearScan;
+//! use mq_metric::Vector;
+//! use mq_server::{Client, ServerConfig, SingleEngineBackend};
+//! use mq_storage::{Dataset, PagedDatabase};
+//!
+//! let ds = Dataset::new((0..1000).map(|i| Vector::new(vec![i as f32])).collect());
+//! let db = PagedDatabase::pack(&ds, Default::default());
+//! let scan = LinearScan::new(db.page_count());
+//! let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, true);
+//!
+//! let server = FrontServer::bind("127.0.0.1:0", Box::new(backend), &ServerConfig::default())?;
+//! let mut client = Client::connect(server.local_addr())?;
+//! let reply = client.query(&Vector::new(vec![42.0]), &QueryType::knn(3))?;
+//! assert_eq!(reply.answers.len(), 3);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
 //!
 //! ## Architecture
 //!
@@ -97,12 +118,9 @@ impl Conn {
     }
 }
 
-/// The event-loop server. API-compatible with
-/// [`mq_server::QueryServer`]: `bind*`, [`local_addr`](Self::local_addr),
-/// [`metrics`](Self::metrics), [`in_flight`](Self::in_flight),
-/// [`drain`](Self::drain) and [`shutdown`](Self::shutdown) behave the
-/// same, so tests and the CLI can treat the two frontends
-/// interchangeably.
+/// The event-loop server. Dropping it (or calling
+/// [`shutdown`](Self::shutdown)) stops the poll thread and closes every
+/// connection; the schedulers then drain.
 pub struct FrontServer {
     addr: SocketAddr,
     dispatcher: Arc<Dispatcher>,
@@ -490,15 +508,10 @@ impl EventLoop {
                     // Connection died between decode and here: run the
                     // query anyway (it was admitted and counted), drop
                     // the answer.
-                    let sink_slot: Slot = Arc::new(Mutex::new(None));
-                    let s = Arc::clone(&sink_slot);
                     admitted.collection.scheduler().submit_with(
                         admitted.object,
                         admitted.qtype,
-                        move |reply| {
-                            *s.lock() =
-                                Some(Message::encode(&Dispatcher::reply_for(reply)).to_vec());
-                        },
+                        |_| {},
                     );
                     return;
                 };
@@ -583,9 +596,8 @@ impl EventLoop {
         }
     }
 
-    /// Emulates the blocking frontend's read timeout: a connection that
-    /// has been silent past the deadline with no reply in flight is
-    /// closed.
+    /// Applies [`ServerConfig::read_timeout`]: a connection that has been
+    /// silent past the deadline with no reply in flight is closed.
     fn sweep_idle(&mut self) {
         let Some(timeout) = self.read_timeout else {
             return;

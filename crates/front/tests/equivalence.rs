@@ -1,9 +1,8 @@
-//! Frontend equivalence: the event-loop frontend must serve the same
-//! protocol, the same answers — bit-identical distances — and the same
-//! error surfaces as the thread-per-connection frontend, at every point
-//! of the batching config matrix. Both frontends share the Dispatcher
-//! and BatchScheduler; these tests pin down that the event-driven I/O
-//! layer does not perturb anything observable.
+//! Event-loop frontend equivalence: served answers are bit-identical to
+//! a serial oracle at every point of the batching config matrix, and the
+//! error surfaces (malformed frames, old protocol versions, dimension
+//! mismatches, quotas) are typed replies. These tests pin down that the
+//! event-driven I/O layer does not perturb anything observable.
 
 use mq_core::{QueryEngine, QueryType};
 use mq_front::FrontServer;
@@ -11,8 +10,7 @@ use mq_index::LinearScan;
 use mq_metric::{Euclidean, ObjectId, Vector};
 use mq_server::protocol::VERSION;
 use mq_server::{
-    Client, ClientError, Message, QueryServer, ServerConfig, SingleEngineBackend,
-    DEFAULT_COLLECTION,
+    Client, ClientError, Message, ServerConfig, SingleEngineBackend, DEFAULT_COLLECTION,
 };
 use mq_storage::{Dataset, PageLayout, PagedDatabase, SimulatedDisk};
 use std::io::{Read, Write};
@@ -67,11 +65,11 @@ fn answer_bits(answers: &[mq_core::Answer]) -> Vec<(u32, u64)> {
 }
 
 #[test]
-fn event_frontend_matches_thread_frontend_across_config_matrix() {
+fn event_frontend_matches_oracle_across_config_matrix() {
     let ds = dataset(500);
     let qs = queries(&ds, 8);
 
-    // The serial oracle both frontends must agree with.
+    // The serial oracle the frontend must agree with.
     let oracle: Vec<Vec<(u32, u64)>> = {
         let db = PagedDatabase::pack(&ds, layout());
         let scan = LinearScan::new(db.page_count());
@@ -102,22 +100,12 @@ fn event_frontend_matches_thread_frontend_across_config_matrix() {
     ];
 
     for config in &matrix {
-        let mut threads =
-            QueryServer::bind("127.0.0.1:0", backend(&ds), config).expect("bind threads");
         let mut events =
             FrontServer::bind("127.0.0.1:0", backend(&ds), config).expect("bind event");
 
-        let mut ct = Client::connect(threads.local_addr()).expect("connect threads");
         let mut ce = Client::connect(events.local_addr()).expect("connect event");
         for (i, (q, t)) in qs.iter().enumerate() {
-            let rt = ct.query(q, t).expect("threads query");
             let re = ce.query(q, t).expect("event query");
-            assert_eq!(
-                answer_bits(&rt.answers),
-                oracle[i],
-                "thread frontend diverged from oracle ({})",
-                config.describe()
-            );
             assert_eq!(
                 answer_bits(&re.answers),
                 oracle[i],
@@ -126,25 +114,21 @@ fn event_frontend_matches_thread_frontend_across_config_matrix() {
             );
         }
 
-        // Same aggregate counters over the same workload.
-        let mt = ct.stats().expect("threads stats");
+        // The aggregate counters cover the whole workload.
         let me = ce.stats().expect("event stats");
-        assert_eq!(mt.queries, qs.len() as u64);
         assert_eq!(me.queries, qs.len() as u64);
 
-        // Same dimension-mismatch surface, byte for byte.
+        // The dimension-mismatch surface, byte for byte.
         let bad = Vector::new(vec![1.0, 2.0]);
-        let et = ct.query(&bad, &QueryType::knn(1)).expect_err("threads");
-        let ee = ce.query(&bad, &QueryType::knn(1)).expect_err("event");
-        match (et, ee) {
-            (ClientError::Server(a), ClientError::Server(b)) => {
-                assert_eq!(a, b, "error text differs between frontends")
-            }
-            other => panic!("expected Server errors from both frontends, got {other:?}"),
+        match ce.query(&bad, &QueryType::knn(1)).expect_err("event") {
+            ClientError::Server(text) => assert_eq!(
+                text,
+                "dimension mismatch: query vector has 2 components, database objects have 3"
+            ),
+            other => panic!("expected a Server error, got {other:?}"),
         }
 
-        drop((ct, ce));
-        threads.shutdown();
+        drop(ce);
         events.shutdown();
     }
 }

@@ -7,10 +7,11 @@
 
 use mq_core::QueryType;
 use mq_datagen::uniform_vectors;
+use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_loadgen::{run, Mode, RequestPlan, RunOptions, WorkloadSpec};
 use mq_obs::{Recorder, Snapshot};
-use mq_server::{Client, QueryServer, ServerConfig, SingleEngineBackend};
+use mq_server::{Client, ServerConfig, SingleEngineBackend};
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use std::time::Duration;
 
@@ -40,7 +41,7 @@ fn concurrent_scrapes_parse_and_counters_stay_monotonic() {
         .with_max_batch(4)
         .with_max_wait(Duration::from_millis(2));
     let server =
-        QueryServer::bind_with_recorder("127.0.0.1:0", Box::new(backend), &config, &recorder)
+        FrontServer::bind_with_recorder("127.0.0.1:0", Box::new(backend), &config, &recorder)
             .expect("bind loopback server");
     let addr = server.local_addr().to_string();
 

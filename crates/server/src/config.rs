@@ -119,7 +119,7 @@ pub struct ServerConfig {
     /// Euclidean geometry and would prune wrongly.
     pub metric: VectorMetric,
     /// Optional approximate candidate tier in front of the exact engine
-    /// (`bq:<budget>` or `hnsw:<ef>`; see [`ApproxTier`]). `None` — the
+    /// (`bq:<budget>`; see [`ApproxTier`]). `None` — the
     /// default — serves exact answers; a tier trades recall for speed
     /// while keeping every reported distance exact. Only supported with
     /// the Euclidean metric.
@@ -450,9 +450,9 @@ mod tests {
             .describe();
         assert!(file_line.contains("store=file:/data/mq"), "{file_line}");
         let approx_line = ServerConfig::default()
-            .with_approx(Some(ApproxTier::Hnsw { ef: 64 }))
+            .with_approx(Some(ApproxTier::Bq { budget: 64 }))
             .describe();
-        assert!(approx_line.contains("approx=hnsw:64"), "{approx_line}");
+        assert!(approx_line.contains("approx=bq:64"), "{approx_line}");
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Frontend-agnostic request dispatch.
+//! Request dispatch, kept out of the socket loop.
 //!
-//! Both frontends — the thread-per-connection loop in [`crate::service`]
-//! and the event loop in `mq-front` — funnel every decoded client message
-//! through one [`Dispatcher`]. That is what makes them *bit-equivalent*:
-//! collection resolution, dimension validation, admission control and the
-//! admin opcodes produce the same reply bytes regardless of how the
-//! connection is driven; the only split is mechanical (block on a reply
-//! channel vs. hand the scheduler a sink).
+//! The event-loop frontend in `mq-front` hands every decoded client
+//! message to one [`Dispatcher`]: collection resolution, dimension
+//! validation, admission control and the admin opcodes live here, so they
+//! can be unit-tested without sockets. The frontend only moves bytes and
+//! hands admitted queries to the scheduler with a reply sink.
 
 use crate::admission::AdmissionController;
 use crate::config::ServerConfig;
@@ -20,8 +18,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// A query that passed validation and admission: the caller must submit
-/// it to `collection`'s scheduler (blocking or sink-based) and answer
-/// with [`Dispatcher::reply_for`].
+/// it to `collection`'s scheduler and answer with
+/// [`Dispatcher::reply_for`].
 pub struct AdmittedQuery {
     /// The resolved target collection.
     pub collection: Arc<Collection>,

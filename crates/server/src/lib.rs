@@ -21,31 +21,13 @@
 //!   metric, index and (optionally durable) store.
 //! - [`admission`] — bounded queue depth and per-tenant token buckets
 //!   between decode and scheduling; overload becomes a typed reply.
-//! - [`dispatch`] — the frontend-agnostic request logic both frontends
-//!   share (this crate's thread-per-connection loop and `mq-front`'s
-//!   event loop answer bit-identically because of it).
-//! - [`service`] — the `std::net` TCP frontend, thread-per-connection.
+//! - [`dispatch`] — the request logic behind the TCP frontend: collection
+//!   resolution, validation, admission and the admin opcodes.
 //! - [`client`] — a small blocking client library.
 //! - [`config`] — the tuning knobs.
 //!
-//! ```no_run
-//! use mq_server::{Client, QueryServer, ServerConfig, SingleEngineBackend};
-//! use mq_core::QueryType;
-//! use mq_index::LinearScan;
-//! use mq_metric::Vector;
-//! use mq_storage::{Dataset, PagedDatabase};
-//!
-//! let ds = Dataset::new((0..1000).map(|i| Vector::new(vec![i as f32])).collect());
-//! let db = PagedDatabase::pack(&ds, Default::default());
-//! let scan = LinearScan::new(db.page_count());
-//! let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, true);
-//!
-//! let server = QueryServer::bind("127.0.0.1:0", Box::new(backend), &ServerConfig::default())?;
-//! let mut client = Client::connect(server.local_addr())?;
-//! let reply = client.query(&Vector::new(vec![42.0]), &QueryType::knn(3))?;
-//! assert_eq!(reply.answers.len(), 3);
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
+//! The TCP frontend itself is `mq_front::FrontServer`, a readiness-polled
+//! event loop over this crate's [`Dispatcher`] and schedulers.
 
 pub mod admission;
 pub mod client;
@@ -54,7 +36,6 @@ pub mod dispatch;
 pub mod protocol;
 pub mod registry;
 pub mod scheduler;
-pub mod service;
 
 pub use admission::AdmissionController;
 pub use client::{Client, ClientError, RemoteAnswers, RetryConfig, RetryingClient};
@@ -68,4 +49,3 @@ pub use scheduler::{
     build_backend, build_backend_with_recorder, BatchScheduler, ClusterBackend, QueryBackend,
     QueryReply, SingleEngineBackend,
 };
-pub use service::QueryServer;

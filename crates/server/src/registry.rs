@@ -7,7 +7,8 @@
 //! paper's page-read sharing only helps queries that read the *same*
 //! pages. The [`CollectionRegistry`] maps wire names to collections and
 //! implements the `CreateCollection` / `DropCollection` /
-//! `ListCollections` opcodes for both frontends.
+//! `ListCollections` opcodes the [`Dispatcher`](crate::Dispatcher)
+//! serves.
 //!
 //! All collections share one [`Recorder`]. The scheduler's unlabeled
 //! instruments (`mq_server_queries_total`, …) are get-or-fetch in

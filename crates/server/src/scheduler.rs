@@ -14,10 +14,7 @@
 use crate::config::{ExecutionMode, FileIndex, ServerConfig, StoreChoice};
 use crate::protocol::ServiceMetrics;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
-use mq_approx::{
-    ApproxTier, BinarySketch, BqPrescreen, Hnsw, HnswConfig, HnswPrescreen, DEFAULT_PLANES,
-    SKETCH_FILE,
-};
+use mq_approx::{ApproxTier, BinarySketch, BqPrescreen, DEFAULT_PLANES, SKETCH_FILE};
 use mq_core::{
     Answer, ExecutionStats, FaultPolicy, LeaderPolicy, QueryEngine, QueryType, StatsProbe,
     WorkerPool,
@@ -416,21 +413,17 @@ impl QueryBackend for ClusterBackend {
     }
 }
 
-/// Where a job's reply goes: a bounded channel the thread-per-connection
-/// frontend blocks on, or a boxed sink the event-loop frontend hands in
-/// (the sink enqueues the encoded reply on the connection's outbox and
-/// wakes the poll thread). A sink is invoked exactly once — with `Some`
-/// when the batch executed, `None` when it died first (backend panic or
-/// queue closed), so the frontend can always send *something*.
-enum ReplyTarget {
-    Channel(Sender<QueryReply>),
-    Sink(Box<dyn FnOnce(Option<QueryReply>) + Send>),
-}
+/// Where a job's reply goes: the frontend's sink enqueues the encoded
+/// reply on the connection's outbox and wakes the poll thread. A sink is
+/// invoked exactly once — with `Some` when the batch executed, `None`
+/// when it died first (backend panic or queue closed), so the frontend
+/// can always send *something*.
+type ReplySink = Box<dyn FnOnce(Option<QueryReply>) + Send>;
 
 struct Job {
     object: Vector,
     qtype: QueryType,
-    target: Option<ReplyTarget>,
+    sink: Option<ReplySink>,
     /// When the job entered the queue (queue-wait observability).
     submitted: Instant,
     /// The scheduler's in-flight count; decremented on drop, so every
@@ -441,13 +434,8 @@ struct Job {
 
 impl Job {
     fn deliver(&mut self, reply: QueryReply) {
-        match self.target.take() {
-            // A client that hung up simply misses its reply.
-            Some(ReplyTarget::Channel(tx)) => {
-                let _ = tx.send(reply);
-            }
-            Some(ReplyTarget::Sink(sink)) => sink(Some(reply)),
-            None => {}
+        if let Some(sink) = self.sink.take() {
+            sink(Some(reply));
         }
     }
 }
@@ -456,9 +444,9 @@ impl Drop for Job {
     fn drop(&mut self) {
         // A sink still present here means the job is being retired without
         // a reply (batch panic, queue closed at shutdown): deliver the
-        // failure so the event frontend answers with a typed error instead
-        // of leaving the connection waiting forever.
-        if let Some(ReplyTarget::Sink(sink)) = self.target.take() {
+        // failure so the frontend answers with a typed error instead of
+        // leaving the connection waiting forever.
+        if let Some(sink) = self.sink.take() {
             sink(None);
         }
         self.pending.fetch_sub(1, Ordering::SeqCst);
@@ -606,42 +594,37 @@ impl BatchScheduler {
         self.dims
     }
 
-    /// Submits one query; the reply arrives on the returned channel once
-    /// the query's batch flushed.
-    pub fn submit(&self, object: Vector, qtype: QueryType) -> Receiver<QueryReply> {
+    /// Test helper: submits one query; the reply arrives on the returned
+    /// channel once the query's batch flushed. A job dropped unanswered
+    /// (backend panic, queue closed) disconnects the channel instead.
+    #[cfg(test)]
+    pub(crate) fn submit(&self, object: Vector, qtype: QueryType) -> Receiver<QueryReply> {
         let (reply_tx, reply_rx) = channel::bounded(1);
-        // Count the job before it enters the queue, so `in_flight` never
-        // under-reports; the job's drop guard retires it on every path
-        // (including an immediate drop when the queue is already closed).
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        // A send can only fail after shutdown; the caller then sees the
-        // reply channel disconnected, which is the honest signal.
-        let _ = self.tx.send(Job {
-            object,
-            qtype,
-            target: Some(ReplyTarget::Channel(reply_tx)),
-            submitted: Instant::now(),
-            pending: Arc::clone(&self.in_flight),
+        self.submit_with(object, qtype, move |reply| {
+            if let Some(reply) = reply {
+                let _ = reply_tx.send(reply);
+            }
         });
         reply_rx
     }
 
     /// Submits one query whose reply is delivered by invoking `sink` from
     /// the worker thread: `Some(reply)` once the batch executed, `None` if
-    /// the job was dropped unanswered (backend panic, queue closed). The
-    /// event-loop frontend uses this so no thread parks per in-flight
-    /// query; the thread frontend keeps [`submit`](Self::submit).
+    /// the job was dropped unanswered (backend panic, queue closed). No
+    /// thread parks per in-flight query.
     pub fn submit_with<F>(&self, object: Vector, qtype: QueryType, sink: F)
     where
         F: FnOnce(Option<QueryReply>) + Send + 'static,
     {
+        // Count the job before it enters the queue, so `in_flight` never
+        // under-reports; the job's drop guard retires it on every path.
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         // If the queue already closed the job is dropped right here and
         // its drop guard fires the sink with `None`.
         let _ = self.tx.send(Job {
             object,
             qtype,
-            target: Some(ReplyTarget::Sink(Box::new(sink))),
+            sink: Some(Box::new(sink)),
             submitted: Instant::now(),
             pending: Arc::clone(&self.in_flight),
         });
@@ -658,8 +641,8 @@ impl BatchScheduler {
     /// Jobs accepted but not yet retired: still queued, collecting into a
     /// batch, or executing. Zero means every submitted query has either
     /// been answered or dropped — the signal
-    /// [`QueryServer::drain`](crate::QueryServer::drain) polls so a load
-    /// run can end with no work left behind in the scheduler.
+    /// [`CollectionRegistry::drain`](crate::CollectionRegistry::drain)
+    /// polls so a load run can end with no work left behind.
     pub fn in_flight(&self) -> u64 {
         self.in_flight.load(Ordering::SeqCst)
     }
@@ -807,12 +790,12 @@ where
         &mq_storage::Dataset<Vector>,
     ) -> (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>),
 {
-    // The approximate tiers rank candidates by Euclidean proximity
-    // (Hamming over quantile planes, HNSW beam over l2); pairing them
-    // with another metric would silently mis-rank, so refuse up front.
+    // The approximate tier ranks candidates by Euclidean proximity
+    // (Hamming over quantile planes); pairing it with another metric
+    // would silently mis-rank, so refuse up front.
     if config.approx.is_some() && config.metric != VectorMetric::Euclidean {
         return Err(StoreError::Format(format!(
-            "--approx requires the euclidean metric; the candidate tiers rank by \
+            "--approx requires the euclidean metric; the candidate tier ranks by \
              Euclidean proximity and would mis-screen under '{}'",
             config.metric.name()
         )));
@@ -933,8 +916,7 @@ fn file_store_index(
 /// Builds one approximate-tier prescreen over `db`'s id space. With a
 /// `sidecar_dir` (file-backed stores) the binary sketch is persisted as
 /// `sketch.mqbq` next to the partition's page files and reloaded —
-/// checksum-verified — on later opens; HNSW graphs are always rebuilt in
-/// memory.
+/// checksum-verified — on later opens.
 fn build_prescreen(
     tier: ApproxTier,
     db: &PagedDatabase<Vector>,
@@ -950,10 +932,6 @@ fn build_prescreen(
             };
             Arc::new(BqPrescreen::new(Arc::new(sketch), budget))
         }
-        ApproxTier::Hnsw { ef } => Arc::new(HnswPrescreen::new(
-            Arc::new(Hnsw::build(db, HnswConfig::default())),
-            ef,
-        )),
     }
 }
 
@@ -1478,43 +1456,41 @@ mod tests {
             .execute(queries.clone());
 
         // A budget covering the whole collection must reproduce the exact
-        // answers bit-for-bit in every mode × store × tier combination.
-        for tier in [ApproxTier::Bq { budget: 120 }, ApproxTier::Hnsw { ef: 120 }] {
-            for (mode, store, label) in [
-                (ExecutionMode::Single, StoreChoice::Sim, "single/sim"),
-                (
-                    ExecutionMode::Cluster { servers: 3 },
-                    StoreChoice::Sim,
-                    "cluster/sim",
-                ),
-                (
-                    ExecutionMode::Single,
-                    StoreChoice::File(dir.join(format!("single-{tier}"))),
-                    "single/file",
-                ),
-                (
-                    ExecutionMode::Cluster { servers: 3 },
-                    StoreChoice::File(dir.join(format!("cluster-{tier}"))),
-                    "cluster/file",
-                ),
-            ] {
-                let config = ServerConfig::default()
-                    .with_mode(mode)
-                    .with_store(store)
-                    .with_approx(Some(tier));
-                let backend =
-                    build_backend(&db, &config, 0.10, build).expect("approx backend builds");
-                assert!(
-                    backend.describe().contains("approx"),
-                    "{}",
-                    backend.describe()
-                );
-                let (answers, _) = backend.execute(queries.clone());
-                for (qi, (a, b)) in exact.0.iter().zip(&answers).enumerate() {
-                    let ia: Vec<(u32, f64)> = a.iter().map(|x| (x.id.0, x.distance)).collect();
-                    let ib: Vec<(u32, f64)> = b.iter().map(|x| (x.id.0, x.distance)).collect();
-                    assert_eq!(ia, ib, "{label} {tier}, query {qi}");
-                }
+        // answers bit-for-bit in every mode × store combination.
+        let tier = ApproxTier::Bq { budget: 120 };
+        for (mode, store, label) in [
+            (ExecutionMode::Single, StoreChoice::Sim, "single/sim"),
+            (
+                ExecutionMode::Cluster { servers: 3 },
+                StoreChoice::Sim,
+                "cluster/sim",
+            ),
+            (
+                ExecutionMode::Single,
+                StoreChoice::File(dir.join(format!("single-{tier}"))),
+                "single/file",
+            ),
+            (
+                ExecutionMode::Cluster { servers: 3 },
+                StoreChoice::File(dir.join(format!("cluster-{tier}"))),
+                "cluster/file",
+            ),
+        ] {
+            let config = ServerConfig::default()
+                .with_mode(mode)
+                .with_store(store)
+                .with_approx(Some(tier));
+            let backend = build_backend(&db, &config, 0.10, build).expect("approx backend builds");
+            assert!(
+                backend.describe().contains("approx"),
+                "{}",
+                backend.describe()
+            );
+            let (answers, _) = backend.execute(queries.clone());
+            for (qi, (a, b)) in exact.0.iter().zip(&answers).enumerate() {
+                let ia: Vec<(u32, f64)> = a.iter().map(|x| (x.id.0, x.distance)).collect();
+                let ib: Vec<(u32, f64)> = b.iter().map(|x| (x.id.0, x.distance)).collect();
+                assert_eq!(ia, ib, "{label} {tier}, query {qi}");
             }
         }
         // The file-backed bq runs persisted their sketches next to the
