@@ -95,7 +95,7 @@ fn bench_declustering(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{strategy:?}")),
             &strategy,
-            |b, _| b.iter(|| black_box(cluster.multiple_query(&queries, true))),
+            |b, _| b.iter(|| black_box(cluster.multiple_query(&queries))),
         );
     }
     group.finish();

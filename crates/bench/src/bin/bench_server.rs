@@ -43,7 +43,7 @@ use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_loadgen::{run, Mode, RequestPlan, RunOptions, RunReport, WorkloadSpec};
 use mq_obs::Recorder;
-use mq_server::{ServerConfig, SingleEngineBackend};
+use mq_server::{EngineBackend, ServerConfig};
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use std::time::Duration;
 
@@ -123,7 +123,7 @@ fn main() {
     let ds = Dataset::new(objects);
     let db = PagedDatabase::pack(&ds, PageLayout::PAPER);
     let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.0, true);
+    let backend = EngineBackend::new(db, Box::new(scan), 0.0, true);
     let recorder = Recorder::enabled();
     let config = ServerConfig::default()
         .with_max_batch(8)
@@ -188,8 +188,7 @@ fn main() {
         .collect();
     let overload_db = PagedDatabase::pack(&Dataset::new(overload_objects), PageLayout::PAPER);
     let overload_scan = LinearScan::new(overload_db.page_count());
-    let overload_backend =
-        SingleEngineBackend::new(overload_db, Box::new(overload_scan), 0.0, true);
+    let overload_backend = EngineBackend::new(overload_db, Box::new(overload_scan), 0.0, true);
     let overload_recorder = Recorder::enabled();
     let overload_config = ServerConfig::default()
         .with_max_batch(8)

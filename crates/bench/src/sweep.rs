@@ -229,7 +229,7 @@ pub fn parallel_sweep(env: &BenchEnv, ss: &[usize]) -> Vec<ParallelPoint> {
                     0.10,
                     index_builder(rig.method),
                 );
-                let (_, stats) = cluster.multiple_query(&block, true);
+                let (_, stats) = cluster.multiple_query(&block);
                 let max_server_seconds = stats.max_modeled_seconds(|st| model.total_seconds(st));
                 out.push(ParallelPoint {
                     db: db.name,

@@ -413,9 +413,7 @@ fn parse_quota(args: &Args) -> Result<Option<mq_server::QuotaConfig>, Box<dyn st
 
 pub fn serve(args: &Args) -> CmdResult {
     use mq_obs::{Recorder, Registry};
-    use mq_server::{
-        build_backend_with_recorder, ExecutionMode, FileIndex, ServerConfig, StoreChoice,
-    };
+    use mq_server::{build_backend, ExecutionMode, FileIndex, ServerConfig, StoreChoice};
     let max_batch: usize = args.positive_or("max-batch", 16)?;
     let stored = load(args)?;
     let addr = args.string_or("addr", "127.0.0.1:7878");
@@ -492,7 +490,7 @@ pub fn serve(args: &Args) -> CmdResult {
     let which_owned = which.clone();
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
-    let backend = build_backend_with_recorder(&stored, &config, 0.10, &recorder, move |ds| {
+    let backend = build_backend(&stored, &config, 0.10, &recorder, move |ds| {
         let db = PagedDatabase::pack(ds, layout);
         build_index(&db, &which_owned).expect("index kind validated before serving")
     })?;

@@ -14,13 +14,13 @@
 //! use mq_front::FrontServer;
 //! use mq_index::LinearScan;
 //! use mq_metric::Vector;
-//! use mq_server::{Client, ServerConfig, SingleEngineBackend};
+//! use mq_server::{Client, EngineBackend, ServerConfig};
 //! use mq_storage::{Dataset, PagedDatabase};
 //!
 //! let ds = Dataset::new((0..1000).map(|i| Vector::new(vec![i as f32])).collect());
 //! let db = PagedDatabase::pack(&ds, Default::default());
 //! let scan = LinearScan::new(db.page_count());
-//! let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, true);
+//! let backend = EngineBackend::new(db, Box::new(scan), 0.10, true);
 //!
 //! let server = FrontServer::bind("127.0.0.1:0", Box::new(backend), &ServerConfig::default())?;
 //! let mut client = Client::connect(server.local_addr())?;

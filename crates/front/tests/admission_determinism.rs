@@ -10,7 +10,7 @@ use mq_index::LinearScan;
 use mq_metric::{ObjectId, Vector};
 use mq_obs::Recorder;
 use mq_server::{
-    AdmissionController, Client, ClientError, QuotaConfig, ServerConfig, SingleEngineBackend,
+    AdmissionController, Client, ClientError, EngineBackend, QuotaConfig, ServerConfig,
 };
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use std::time::Duration;
@@ -30,10 +30,10 @@ fn dataset(n: usize) -> Dataset<Vector> {
     )
 }
 
-fn backend(ds: &Dataset<Vector>) -> Box<SingleEngineBackend> {
+fn backend(ds: &Dataset<Vector>) -> Box<EngineBackend> {
     let db = PagedDatabase::pack(ds, PageLayout::new(512, 16));
     let scan = LinearScan::new(db.page_count());
-    Box::new(SingleEngineBackend::new(db, Box::new(scan), 0.05, true))
+    Box::new(EngineBackend::new(db, Box::new(scan), 0.05, true))
 }
 
 /// A deterministic offered plan: (tenant, logical arrival time).

@@ -8,7 +8,7 @@ use mq_core::{QueryEngine, QueryType};
 use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_metric::{Euclidean, ObjectId, Vector};
-use mq_server::{refusal, Client, ClientError, ServerConfig, SingleEngineBackend};
+use mq_server::{refusal, Client, ClientError, EngineBackend, ServerConfig};
 use mq_storage::{Dataset, PageLayout, PagedDatabase, SimulatedDisk};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -32,10 +32,10 @@ fn layout() -> PageLayout {
     PageLayout::new(512, 16)
 }
 
-fn backend(ds: &Dataset<Vector>) -> Box<SingleEngineBackend> {
+fn backend(ds: &Dataset<Vector>) -> Box<EngineBackend> {
     let db = PagedDatabase::pack(ds, layout());
     let scan = LinearScan::new(db.page_count());
-    Box::new(SingleEngineBackend::new(db, Box::new(scan), 0.05, true))
+    Box::new(EngineBackend::new(db, Box::new(scan), 0.05, true))
 }
 
 fn bits(answers: &[mq_core::Answer]) -> Vec<(u32, u64)> {

@@ -9,9 +9,7 @@ use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_metric::{Euclidean, ObjectId, Vector};
 use mq_server::protocol::VERSION;
-use mq_server::{
-    Client, ClientError, Message, ServerConfig, SingleEngineBackend, DEFAULT_COLLECTION,
-};
+use mq_server::{Client, ClientError, EngineBackend, Message, ServerConfig, DEFAULT_COLLECTION};
 use mq_storage::{Dataset, PageLayout, PagedDatabase, SimulatedDisk};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -36,10 +34,10 @@ fn layout() -> PageLayout {
     PageLayout::new(512, 16)
 }
 
-fn backend(ds: &Dataset<Vector>) -> Box<SingleEngineBackend> {
+fn backend(ds: &Dataset<Vector>) -> Box<EngineBackend> {
     let db = PagedDatabase::pack(ds, layout());
     let scan = LinearScan::new(db.page_count());
-    Box::new(SingleEngineBackend::new(db, Box::new(scan), 0.05, true))
+    Box::new(EngineBackend::new(db, Box::new(scan), 0.05, true))
 }
 
 fn queries(ds: &Dataset<Vector>, n: usize) -> Vec<(Vector, QueryType)> {

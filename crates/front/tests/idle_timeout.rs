@@ -8,7 +8,7 @@ use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_metric::{ObjectId, Vector};
 use mq_server::protocol::{read_message, Message};
-use mq_server::{Client, ServerConfig, SingleEngineBackend};
+use mq_server::{Client, EngineBackend, ServerConfig};
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -19,10 +19,10 @@ const TIMEOUT: Duration = Duration::from_millis(300);
 /// collecting when the sweep looks at its connection.
 const MAX_WAIT: Duration = Duration::from_millis(1500);
 
-fn backend(ds: &Dataset<Vector>) -> Box<SingleEngineBackend> {
+fn backend(ds: &Dataset<Vector>) -> Box<EngineBackend> {
     let db = PagedDatabase::pack(ds, PageLayout::new(512, 16));
     let scan = LinearScan::new(db.page_count());
-    Box::new(SingleEngineBackend::new(db, Box::new(scan), 0.05, true))
+    Box::new(EngineBackend::new(db, Box::new(scan), 0.05, true))
 }
 
 #[test]

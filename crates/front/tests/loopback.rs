@@ -7,7 +7,8 @@ use mq_core::{QueryEngine, QueryType};
 use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_metric::{Euclidean, ObjectId, Vector};
-use mq_server::{build_backend, Client, ExecutionMode, ServerConfig, SingleEngineBackend};
+use mq_obs::Recorder;
+use mq_server::{build_backend, Client, EngineBackend, ExecutionMode, ServerConfig};
 use mq_storage::{Dataset, PageLayout, PagedDatabase, SimulatedDisk};
 use std::time::Duration;
 
@@ -53,7 +54,7 @@ fn concurrent_clients_get_serial_answers_with_shared_reads() {
     let db = PagedDatabase::pack(&ds, layout());
     let pages = db.page_count();
     let scan = LinearScan::new(pages);
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.05, true);
+    let backend = EngineBackend::new(db, Box::new(scan), 0.05, true);
 
     // max_batch = N with a generous deadline: all clients fire at once,
     // so the first flush should carry the whole wave.
@@ -146,8 +147,11 @@ fn cluster_mode_agrees_with_single_mode() {
         .clone()
         .with_mode(ExecutionMode::Cluster { servers: 3 });
 
-    let single_backend = build_backend(&db, &single_cfg, 0.10, build_index).expect("backend");
-    let cluster_backend = build_backend(&db, &cluster_cfg, 0.10, build_index).expect("backend");
+    let single_backend =
+        build_backend(&db, &single_cfg, 0.10, &Recorder::disabled(), build_index).expect("backend");
+    let cluster_backend =
+        build_backend(&db, &cluster_cfg, 0.10, &Recorder::disabled(), build_index)
+            .expect("backend");
     let mut single_server =
         FrontServer::bind("127.0.0.1:0", single_backend, &single_cfg).expect("bind");
     let mut cluster_server =
@@ -173,7 +177,7 @@ fn malformed_frame_gets_error_reply() {
     let ds = dataset(60);
     let db = PagedDatabase::pack(&ds, layout());
     let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, true);
+    let backend = EngineBackend::new(db, Box::new(scan), 0.10, true);
     let mut server = FrontServer::bind(
         "127.0.0.1:0",
         Box::new(backend),
@@ -198,7 +202,7 @@ fn client_dropped_mid_batch_leaks_no_slot_and_others_complete() {
     let ds = dataset(300);
     let db = PagedDatabase::pack(&ds, layout());
     let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, true);
+    let backend = EngineBackend::new(db, Box::new(scan), 0.10, true);
     // max_batch = 3: one doomed client plus two survivors fill a batch.
     let config = ServerConfig::default()
         .with_max_batch(3)
@@ -270,7 +274,7 @@ fn dimension_mismatch_is_rejected_and_server_keeps_serving() {
     let ds = dataset(80);
     let db = PagedDatabase::pack(&ds, layout());
     let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, true);
+    let backend = EngineBackend::new(db, Box::new(scan), 0.10, true);
     let mut server = FrontServer::bind(
         "127.0.0.1:0",
         Box::new(backend),

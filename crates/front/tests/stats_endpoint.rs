@@ -9,7 +9,7 @@ use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_metric::{ObjectId, Vector};
 use mq_obs::{Recorder, Registry};
-use mq_server::{build_backend_with_recorder, Client, ExecutionMode, ServerConfig, StoreChoice};
+use mq_server::{build_backend, Client, ExecutionMode, ServerConfig, StoreChoice};
 use mq_storage::{persist, Dataset, PageLayout, PagedDatabase, VectorCodec};
 use std::sync::Arc;
 use std::time::Duration;
@@ -112,7 +112,7 @@ fn persisted_database_serves_scrapeable_metrics() {
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
     let layout = db.layout();
-    let backend = build_backend_with_recorder(&db, &config, 0.10, &recorder, move |ds| {
+    let backend = build_backend(&db, &config, 0.10, &recorder, move |ds| {
         let db = PagedDatabase::pack(ds, layout);
         (Box::new(LinearScan::new(db.page_count())) as _, db)
     })
@@ -207,7 +207,7 @@ fn cluster_mode_scrape_reports_per_partition_counts() {
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
     let layout = db.layout();
-    let backend = build_backend_with_recorder(&db, &config, 0.10, &recorder, move |ds| {
+    let backend = build_backend(&db, &config, 0.10, &recorder, move |ds| {
         let db = PagedDatabase::pack(ds, layout);
         (Box::new(LinearScan::new(db.page_count())) as _, db)
     })
@@ -254,7 +254,7 @@ fn file_store_scrape_reports_store_series() {
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
     let layout = db.layout();
-    let backend = build_backend_with_recorder(&db, &config, 0.10, &recorder, move |ds| {
+    let backend = build_backend(&db, &config, 0.10, &recorder, move |ds| {
         let db = PagedDatabase::pack(ds, layout);
         (Box::new(LinearScan::new(db.page_count())) as _, db)
     })
@@ -304,7 +304,7 @@ fn server_without_recorder_returns_empty_exposition() {
         .with_max_batch(2)
         .with_max_wait(Duration::from_millis(250));
     let layout = db.layout();
-    let backend = mq_server::build_backend(&db, &config, 0.10, move |ds| {
+    let backend = mq_server::build_backend(&db, &config, 0.10, &Recorder::disabled(), move |ds| {
         let db = PagedDatabase::pack(ds, layout);
         (Box::new(LinearScan::new(db.page_count())) as _, db)
     })

@@ -11,7 +11,7 @@ use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_loadgen::{run, Mode, RequestPlan, RunOptions, WorkloadSpec};
 use mq_obs::{Recorder, Snapshot};
-use mq_server::{Client, ServerConfig, SingleEngineBackend};
+use mq_server::{Client, EngineBackend, ServerConfig};
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use std::time::Duration;
 
@@ -33,7 +33,7 @@ fn concurrent_scrapes_parse_and_counters_stay_monotonic() {
     let ds = Dataset::new(vectors.clone());
     let db = PagedDatabase::pack(&ds, PageLayout::new(512, 16));
     let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.0, true);
+    let backend = EngineBackend::new(db, Box::new(scan), 0.0, true);
     let recorder = Recorder::enabled();
     // Small batches with a short deadline: many flushes, so the scraped
     // counters actually move while the run is in flight.

@@ -5,8 +5,8 @@ use crate::merge::merge_answers;
 use crate::partition::Declustering;
 use crate::server::Server;
 use mq_core::{
-    Answer, CandidatePrescreen, EngineError, ExecutionStats, FaultPolicy, LeaderPolicy,
-    QueryEngine, QueryType, StatsProbe, WorkerPool,
+    Answer, CandidatePrescreen, EngineError, EngineObs, EngineOptions, ExecutionStats, QueryEngine,
+    QueryType, StatsProbe, WorkerPool,
 };
 use mq_index::SimilarityIndex;
 use mq_metric::Metric;
@@ -129,25 +129,23 @@ impl ClusterObs {
 /// A cluster of `s` shared-nothing servers over one logical database.
 pub struct SharedNothingCluster<O, M> {
     servers: Vec<Server<O, M>>,
-    /// Page-evaluation threads of each server's engine (inter-server
-    /// parallelism times intra-batch parallelism).
-    engine_threads: usize,
+    /// Options of every server's engine: avoidance, page-evaluation
+    /// threads (per server, on top of the inter-server parallelism),
+    /// prefetch depth, leader policy and fault policy.
+    options: EngineOptions,
     /// One persistent page-evaluation pool per server, created once by
-    /// [`with_engine_threads`](Self::with_engine_threads) and shared by
-    /// every engine built for that server across `multiple_query` calls.
-    /// Empty while `engine_threads == 1` (nothing to parallelize).
+    /// [`with_options`](Self::with_options) and shared by every engine
+    /// built for that server across `multiple_query` calls. Empty while
+    /// `options.threads == 1` (nothing to parallelize).
     pools: Vec<Arc<WorkerPool>>,
-    /// Pipelined prefetch depth of each server's engine.
-    prefetch_depth: usize,
-    /// Leader scheduling policy of each server's engine.
-    leader: LeaderPolicy,
-    /// Fault policy of each server's engine (per-read retry budget).
-    fault_policy: FaultPolicy,
-    /// Observability handle threaded into every server's engine, pool, and
-    /// disk; disabled by default.
+    /// Observability handle threaded into every server's pool and disk;
+    /// disabled by default.
     recorder: Recorder,
     /// Per-partition instruments, present iff `recorder` is enabled.
     obs: Option<ClusterObs>,
+    /// Engine instruments registered once and shared by every server's
+    /// per-batch engine, present iff `recorder` is enabled.
+    engine_obs: Option<Arc<EngineObs>>,
     /// One approximate candidate tier per server (see
     /// [`with_prescreens`](Self::with_prescreens)); empty = exact cluster.
     prescreens: Vec<Arc<dyn CandidatePrescreen<O>>>,
@@ -176,33 +174,21 @@ where
             .iter()
             .map(|part| Server::build(objects, part, metric.clone(), buffer_fraction, &build_index))
             .collect();
-        Self {
-            servers,
-            engine_threads: 1,
-            pools: Vec::new(),
-            prefetch_depth: 0,
-            leader: LeaderPolicy::default(),
-            fault_policy: FaultPolicy::default(),
-            recorder: Recorder::disabled(),
-            obs: None,
-            prescreens: Vec::new(),
-        }
+        Self::from_servers(servers)
     }
 
     /// Assembles a cluster from pre-built servers (any [`mq_storage::PageStore`]
     /// backend per partition — this is how `mq serve --store file:` brings
-    /// up a durable cluster, one store directory per server). Knobs start
-    /// at [`build`](Self::build)'s defaults; chain the `with_*` builders.
+    /// up a durable cluster, one store directory per server). The engines
+    /// start at [`EngineOptions::default`].
     pub fn from_servers(servers: Vec<Server<O, M>>) -> Self {
         Self {
             servers,
-            engine_threads: 1,
+            options: EngineOptions::default(),
             pools: Vec::new(),
-            prefetch_depth: 0,
-            leader: LeaderPolicy::default(),
-            fault_policy: FaultPolicy::default(),
             recorder: Recorder::disabled(),
             obs: None,
+            engine_obs: None,
             prescreens: Vec::new(),
         }
     }
@@ -233,30 +219,45 @@ where
         self.prescreens.iter().map(|p| p.name()).collect()
     }
 
-    /// Evaluates each loaded page with `threads` workers *per server*
-    /// (clamped to at least 1). Orthogonal to the inter-server parallelism:
-    /// a 4-server cluster with 2 engine threads runs on up to 8 cores.
-    /// Answers and counters are identical for every thread count.
+    /// Runs every server's engine with `options`. `threads` (clamped to at
+    /// least 1) is *per server* and orthogonal to the inter-server
+    /// parallelism: a 4-server cluster with 2 engine threads runs on up to
+    /// 8 cores. Answers and counters are identical for every thread count,
+    /// prefetch depth and leader policy.
     ///
     /// With `threads > 1` each server gets its own persistent
     /// [`WorkerPool`], created here and reused by every
     /// [`multiple_query`](Self::multiple_query) call — batches do not pay
     /// thread spawn/join.
-    pub fn with_engine_threads(mut self, threads: usize) -> Self {
-        self.engine_threads = threads.max(1);
-        self.rebuild_pools();
+    pub fn with_options(mut self, options: EngineOptions) -> Self {
+        let threads = options.threads.max(1);
+        let resize = threads != self.options.threads;
+        self.options = EngineOptions { threads, ..options };
+        if resize {
+            self.rebuild_pools();
+        }
+        self
+    }
+
+    /// Replaces every server's distance function; each server keeps a
+    /// private distance counter.
+    pub fn with_metric(mut self, metric: M) -> Self {
+        for server in &mut self.servers {
+            server.set_metric(metric.clone());
+        }
         self
     }
 
     /// Attaches an observability [`Recorder`] to the whole cluster:
-    /// per-partition query/distance/read/failure counters, every server
-    /// disk's buffer and fault counters, and the per-server worker pools.
-    /// A disabled recorder detaches everything. Call it *before*
-    /// [`with_engine_threads`](Self::with_engine_threads) or after — pools
-    /// are rebuilt here so the order does not matter.
+    /// per-partition query/distance/read/failure counters, the engine
+    /// counters and stage spans, every server disk's buffer and fault
+    /// counters, and the per-server worker pools. A disabled recorder
+    /// detaches everything. Order-independent with
+    /// [`with_options`](Self::with_options) — pools are rebuilt here.
     pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
         self.recorder = recorder.clone();
         self.obs = ClusterObs::new(recorder, self.servers.len());
+        self.engine_obs = EngineObs::new(recorder);
         for server in &self.servers {
             server.disk().attach_recorder(recorder);
         }
@@ -267,50 +268,20 @@ where
     /// (Re)creates the per-server page-evaluation pools for the current
     /// thread count and recorder.
     fn rebuild_pools(&mut self) {
-        self.pools = if self.engine_threads > 1 {
+        let threads = self.options.threads;
+        self.pools = if threads > 1 {
             self.servers
                 .iter()
-                .map(|_| {
-                    Arc::new(WorkerPool::with_recorder(
-                        self.engine_threads,
-                        &self.recorder,
-                    ))
-                })
+                .map(|_| Arc::new(WorkerPool::with_recorder(threads, &self.recorder)))
                 .collect()
         } else {
             Vec::new()
         };
     }
 
-    /// Stages up to `depth` pages ahead on every server's engine
-    /// (pipelined prefetch; 0 disables it).
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.prefetch_depth = depth;
-        self
-    }
-
-    /// Selects the leader scheduling policy of every server's engine.
-    pub fn with_leader_policy(mut self, leader: LeaderPolicy) -> Self {
-        self.leader = leader;
-        self
-    }
-
-    /// Sets the fault policy (per-read transient retry budget) of every
-    /// server's engine. Only matters when a server disk has a
-    /// [`mq_storage::FaultPlan`] installed.
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.fault_policy = policy;
-        self
-    }
-
-    /// The fault policy of each server's engine.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.fault_policy
-    }
-
-    /// Page-evaluation threads of each server's engine.
-    pub fn engine_threads(&self) -> usize {
-        self.engine_threads
+    /// The options every server's engine runs with.
+    pub fn options(&self) -> EngineOptions {
+        self.options
     }
 
     /// Number of servers.
@@ -332,12 +303,8 @@ where
     /// surfaces an unrecoverable fault) — this entry point never returns a
     /// silently partial result. Fault-tolerant callers use
     /// [`multiple_query_degraded`](Self::multiple_query_degraded).
-    pub fn multiple_query(
-        &self,
-        queries: &[(O, QueryType)],
-        avoidance: bool,
-    ) -> (Vec<Vec<Answer>>, ClusterStats) {
-        let degraded = self.multiple_query_degraded(queries, avoidance);
+    pub fn multiple_query(&self, queries: &[(O, QueryType)]) -> (Vec<Vec<Answer>>, ClusterStats) {
+        let degraded = self.multiple_query_degraded(queries);
         assert!(
             degraded.is_complete(),
             "cluster partitions failed: {:?} ({:?})",
@@ -352,37 +319,11 @@ where
     /// fault policy) or whose thread panics becomes an explicitly recorded
     /// *missing partition* instead of poisoning the whole run. Answers are
     /// merged over the reachable servers only.
-    pub fn multiple_query_degraded(
-        &self,
-        queries: &[(O, QueryType)],
-        avoidance: bool,
-    ) -> DegradedAnswers {
+    pub fn multiple_query_degraded(&self, queries: &[(O, QueryType)]) -> DegradedAnswers {
         let started = Instant::now();
         let per_server: Vec<ServerRun> = std::thread::scope(|scope| {
-            let engine_threads = self.engine_threads;
-            let handles: Vec<_> = self
-                .servers
-                .iter()
-                .enumerate()
-                .map(|(si, server)| {
-                    let pool = self.pools.get(si).cloned();
-                    let prescreen = self.prescreens.get(si).cloned();
-                    let recorder = &self.recorder;
-                    scope.spawn(move || {
-                        run_on_server(
-                            server,
-                            queries,
-                            avoidance,
-                            engine_threads,
-                            pool,
-                            self.prefetch_depth,
-                            self.leader,
-                            self.fault_policy,
-                            recorder,
-                            prescreen,
-                        )
-                    })
-                })
+            let handles: Vec<_> = (0..self.servers.len())
+                .map(|si| scope.spawn(move || self.run_on_server(si, queries)))
                 .collect();
             handles
                 .into_iter()
@@ -444,76 +385,49 @@ where
             failure_reasons,
         }
     }
-}
 
-/// Executes the full batch on one server and translates answers to global
-/// object ids. Surfaces the engine's typed error when a read faults past
-/// the retry budget.
-#[allow(clippy::too_many_arguments)]
-fn run_on_server<O, M>(
-    server: &Server<O, M>,
-    queries: &[(O, QueryType)],
-    avoidance: bool,
-    engine_threads: usize,
-    pool: Option<Arc<WorkerPool>>,
-    prefetch_depth: usize,
-    leader: LeaderPolicy,
-    fault_policy: FaultPolicy,
-    recorder: &Recorder,
-    prescreen: Option<Arc<dyn CandidatePrescreen<O>>>,
-) -> Result<(Vec<Vec<Answer>>, ExecutionStats), EngineError>
-where
-    O: StorageObject,
-    M: Metric<O> + Clone,
-{
-    let prescreen = prescreen.as_deref();
-    let engine = {
-        let mut e = QueryEngine::new(server.disk(), server.index(), server.metric().clone())
-            .with_threads(engine_threads)
-            .with_prefetch_depth(prefetch_depth)
-            .with_leader_policy(leader)
-            .with_fault_policy(fault_policy)
-            .with_recorder(recorder);
-        if let Some(pool) = pool {
-            e = e.with_pool(pool);
+    /// Executes the full batch on server `si` and translates answers to
+    /// global object ids. Surfaces the engine's typed error when a read
+    /// faults past the retry budget.
+    fn run_on_server(
+        &self,
+        si: usize,
+        queries: &[(O, QueryType)],
+    ) -> Result<(Vec<Vec<Answer>>, ExecutionStats), EngineError> {
+        let server = &self.servers[si];
+        let mut engine = QueryEngine::new(server.disk(), server.index(), server.metric().clone())
+            .with_options(self.options)
+            .with_obs(self.engine_obs.clone());
+        if let Some(pool) = self.pools.get(si) {
+            engine = engine.with_pool(Arc::clone(pool));
         }
-        if let Some(p) = prescreen {
-            e = e.with_prescreen(p);
+        if let Some(prescreen) = self.prescreens.get(si) {
+            engine = engine.with_prescreen(&**prescreen);
         }
-        if avoidance {
-            e
-        } else {
-            e.without_avoidance()
-        }
-    };
-    let probe = StatsProbe::start(server.disk(), server.counter(), Default::default());
-    let mut session = engine.new_session(
-        queries
-            .iter()
-            .map(|(o, t)| (o.clone(), *t))
-            .collect::<Vec<_>>(),
-    );
-    engine.try_run_to_completion(&mut session)?;
-    let avoidance_stats = session.avoidance_stats();
-    let stats = probe.finish(server.disk(), avoidance_stats);
-    let answers = session
-        .into_answers()
-        .into_iter()
-        .map(|list| {
-            list.into_iter()
-                .map(|a| Answer {
-                    id: server.global_id(a.id),
-                    distance: a.distance,
-                })
-                .collect()
-        })
-        .collect();
-    Ok((answers, stats))
+        let probe = StatsProbe::start(server.disk(), server.counter(), Default::default());
+        let mut session = engine.new_session(queries.to_vec());
+        engine.try_run_to_completion(&mut session)?;
+        let stats = probe.finish(server.disk(), session.avoidance_stats());
+        let answers = session
+            .into_answers()
+            .into_iter()
+            .map(|list| {
+                list.into_iter()
+                    .map(|a| Answer {
+                        id: server.global_id(a.id),
+                        distance: a.distance,
+                    })
+                    .collect()
+            })
+            .collect();
+        Ok((answers, stats))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mq_core::LeaderPolicy;
     use mq_index::{LinearScan, XTree, XTreeConfig};
     use mq_metric::{Euclidean, ObjectId, Vector};
     use mq_storage::{PageLayout, SimulatedDisk};
@@ -599,7 +513,7 @@ mod tests {
                 0.1,
                 scan_builder(),
             );
-            let (answers, stats) = cluster.multiple_query(&queries, true);
+            let (answers, stats) = cluster.multiple_query(&queries);
             assert_eq!(stats.per_server.len(), s);
             for (got, want) in answers.iter().zip(&reference) {
                 let ids: Vec<ObjectId> = got.iter().map(|a| a.id).collect();
@@ -626,7 +540,7 @@ mod tests {
             0.1,
             xtree_builder(),
         );
-        let (answers, _) = cluster.multiple_query(&queries, true);
+        let (answers, _) = cluster.multiple_query(&queries);
         for (got, want) in answers.iter().zip(&reference) {
             let ids: Vec<ObjectId> = got.iter().map(|a| a.id).collect();
             assert_eq!(&ids, want);
@@ -650,7 +564,7 @@ mod tests {
                 0.1,
                 scan_builder(),
             );
-            let (_, stats) = cluster.multiple_query(&queries, true);
+            let (_, stats) = cluster.multiple_query(&queries);
             stats
                 .per_server
                 .iter()
@@ -683,7 +597,7 @@ mod tests {
         ] {
             let cluster =
                 SharedNothingCluster::build(&objects, 3, strategy, Euclidean, 0.1, scan_builder());
-            let (answers, _) = cluster.multiple_query(&queries, true);
+            let (answers, _) = cluster.multiple_query(&queries);
             for (got, want) in answers.iter().zip(&reference) {
                 let ids: Vec<ObjectId> = got.iter().map(|a| a.id).collect();
                 assert_eq!(&ids, want, "{strategy:?}");
@@ -703,7 +617,7 @@ mod tests {
             0.1,
             scan_builder(),
         );
-        let (_, stats) = cluster.multiple_query(&queries, true);
+        let (_, stats) = cluster.multiple_query(&queries);
         let total = stats.total();
         assert_eq!(
             total.io.logical_reads,
@@ -739,9 +653,12 @@ mod tests {
             0.1,
             scan_builder(),
         )
-        .with_engine_threads(3);
-        assert_eq!(cluster.engine_threads(), 3);
-        let (answers, _) = cluster.multiple_query(&queries, true);
+        .with_options(EngineOptions {
+            threads: 3,
+            ..EngineOptions::default()
+        });
+        assert_eq!(cluster.options().threads, 3);
+        let (answers, _) = cluster.multiple_query(&queries);
         for (got, want) in answers.iter().zip(&reference) {
             let ids: Vec<ObjectId> = got.iter().map(|a| a.id).collect();
             assert_eq!(&ids, want);
@@ -766,13 +683,16 @@ mod tests {
             0.1,
             xtree_builder(),
         )
-        .with_engine_threads(2)
-        .with_prefetch_depth(2)
-        .with_leader_policy(LeaderPolicy::NearestChain);
+        .with_options(EngineOptions {
+            threads: 2,
+            prefetch_depth: 2,
+            leader: LeaderPolicy::NearestChain,
+            ..EngineOptions::default()
+        });
         // Two batches through the same cluster: the per-server pools are
         // created once and must survive reuse.
         for round in 0..2 {
-            let (answers, _) = cluster.multiple_query(&queries, true);
+            let (answers, _) = cluster.multiple_query(&queries);
             for (got, want) in answers.iter().zip(&reference) {
                 let ids: Vec<ObjectId> = got.iter().map(|a| a.id).collect();
                 assert_eq!(&ids, want, "round {round}");
@@ -799,13 +719,13 @@ mod tests {
             scan_builder(),
         );
         // Healthy reference first.
-        let healthy = cluster.multiple_query_degraded(&queries, true);
+        let healthy = cluster.multiple_query_degraded(&queries);
         assert!(healthy.is_complete());
         // Kill server 1's disk outright: every read is Unavailable.
         cluster.servers()[1]
             .disk()
             .set_fault_plan(Some(FaultPlan::new(42).with_kill_after(0)));
-        let degraded = cluster.multiple_query_degraded(&queries, true);
+        let degraded = cluster.multiple_query_degraded(&queries);
         assert!(!degraded.is_complete());
         assert_eq!(degraded.missing_partitions, vec![1]);
         assert_eq!(degraded.failure_reasons.len(), 1);
@@ -847,7 +767,7 @@ mod tests {
             .disk()
             .set_fault_plan(Some(FaultPlan::new(7).with_kill_after(0)));
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cluster.multiple_query(&queries, true)
+            cluster.multiple_query(&queries)
         }));
         assert!(r.is_err(), "strict entry point must refuse partial results");
     }
@@ -870,14 +790,17 @@ mod tests {
             0.1,
             scan_builder(),
         )
-        .with_fault_policy(mq_core::FaultPolicy::new(3));
-        let healthy = cluster.multiple_query_degraded(&queries, true);
+        .with_options(EngineOptions {
+            fault_policy: mq_core::FaultPolicy::new(3),
+            ..EngineOptions::default()
+        });
+        let healthy = cluster.multiple_query_degraded(&queries);
         for server in cluster.servers() {
             server
                 .disk()
                 .set_fault_plan(Some(FaultPlan::new(99).with_transient(0.3)));
         }
-        let faulty = cluster.multiple_query_degraded(&queries, true);
+        let faulty = cluster.multiple_query_degraded(&queries);
         assert!(faulty.is_complete(), "{:?}", faulty.failure_reasons);
         for (got, want) in faulty.answers.iter().zip(&healthy.answers) {
             assert_eq!(got, want, "answers must be bit-identical after retries");
@@ -912,9 +835,12 @@ mod tests {
             0.1,
             scan_builder(),
         )
-        .with_engine_threads(2)
+        .with_options(EngineOptions {
+            threads: 2,
+            ..EngineOptions::default()
+        })
         .with_recorder(&recorder);
-        let healthy = cluster.multiple_query_degraded(&queries, true);
+        let healthy = cluster.multiple_query_degraded(&queries);
         assert!(healthy.is_complete());
         let snap = registry.snapshot();
         for si in 0..3 {
@@ -939,7 +865,7 @@ mod tests {
         cluster.servers()[2]
             .disk()
             .set_fault_plan(Some(FaultPlan::new(11).with_kill_after(0)));
-        let degraded = cluster.multiple_query_degraded(&queries, true);
+        let degraded = cluster.multiple_query_degraded(&queries);
         assert_eq!(degraded.missing_partitions, vec![2]);
         let snap = registry.snapshot();
         assert_eq!(
@@ -972,13 +898,14 @@ mod tests {
                 0.1,
                 scan_builder(),
             )
-            .with_engine_threads(2)
+            .with_options(EngineOptions {
+                threads: 2,
+                ..EngineOptions::default()
+            })
         };
-        let plain = build().multiple_query(&queries, true);
+        let plain = build().multiple_query(&queries);
         let recorder = Recorder::new(Arc::new(Registry::new()));
-        let observed = build()
-            .with_recorder(&recorder)
-            .multiple_query(&queries, true);
+        let observed = build().with_recorder(&recorder).multiple_query(&queries);
         assert_eq!(plain.0, observed.0, "answers must be bit-identical");
         for (a, b) in plain.1.per_server.iter().zip(&observed.1.per_server) {
             assert_eq!(a.io, b.io);
@@ -998,7 +925,7 @@ mod tests {
             0.1,
             scan_builder(),
         );
-        let (answers, stats) = cluster.multiple_query(&[], true);
+        let (answers, stats) = cluster.multiple_query(&[]);
         assert!(answers.is_empty());
         assert_eq!(stats.per_server.len(), 2);
     }

@@ -66,6 +66,11 @@ impl<O: StorageObject, M: Metric<O>> Server<O, M> {
         }
     }
 
+    /// Replaces the server's distance function (with a fresh counter).
+    pub(crate) fn set_metric(&mut self, metric: M) {
+        self.metric = CountingMetric::new(metric);
+    }
+
     /// The server's page store.
     pub fn disk(&self) -> &dyn PageStore<O> {
         &*self.disk

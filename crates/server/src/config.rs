@@ -2,7 +2,7 @@
 //! limits.
 
 use mq_approx::ApproxTier;
-use mq_core::LeaderPolicy;
+use mq_core::{EngineOptions, FaultPolicy, LeaderPolicy};
 use mq_metric::{Metric, VectorMetric};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -60,7 +60,8 @@ impl FileIndex {
 /// How flushed batches are executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// One engine on one simulated disk (§5.1–5.2).
+    /// One engine over the whole database, on the simulated disk or the
+    /// file store (§5.1–5.2): a one-partition cluster.
     Single,
     /// A shared-nothing cluster of `servers` declustered engines (§5.3).
     Cluster {
@@ -271,6 +272,18 @@ impl ServerConfig {
         self
     }
 
+    /// The engine options every partition of the backend runs with.
+    pub fn engine_options(&self) -> EngineOptions {
+        EngineOptions {
+            avoidance: self.avoidance,
+            threads: self.threads,
+            prefetch_depth: self.prefetch_depth,
+            leader: self.leader,
+            fault_policy: FaultPolicy::new(self.retry_budget),
+            ..EngineOptions::default()
+        }
+    }
+
     /// One-line summary of every resolved knob, for startup logs.
     pub fn describe(&self) -> String {
         let mode = match self.mode {
@@ -360,6 +373,17 @@ mod tests {
         assert_eq!(c.metric, VectorMetric::Cosine);
         assert_eq!(c.approx, Some(ApproxTier::Bq { budget: 500 }));
         assert_eq!(c.max_queue, 64);
+        assert_eq!(
+            c.engine_options(),
+            EngineOptions {
+                avoidance: false,
+                max_pivots: None,
+                threads: 4,
+                prefetch_depth: 2,
+                leader: LeaderPolicy::NearestChain,
+                fault_policy: FaultPolicy::new(5),
+            }
+        );
         assert_eq!(
             c.quota,
             Some(QuotaConfig {

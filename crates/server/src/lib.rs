@@ -15,8 +15,9 @@
 //!   service counters) in the same `bytes` codec style as
 //!   `mq_storage::persist`.
 //! - [`scheduler`] — the batching scheduler: one queue, one worker,
-//!   flush on `max_batch` or `max_wait`, backends for a single engine
-//!   (§5.1–5.2) or a shared-nothing cluster (§5.3).
+//!   flush on `max_batch` or `max_wait`, and one backend,
+//!   [`EngineBackend`]: a shared-nothing cluster (§5.3) of one partition
+//!   (a single engine, §5.1–5.2) or of `s`.
 //! - [`registry`] — named collections, each owning its own scheduler,
 //!   metric, index and (optionally durable) store.
 //! - [`admission`] — bounded queue depth and per-tenant token buckets
@@ -46,6 +47,5 @@ pub use protocol::{
 };
 pub use registry::{Collection, CollectionRegistry};
 pub use scheduler::{
-    build_backend, build_backend_with_recorder, BatchScheduler, ClusterBackend, QueryBackend,
-    QueryReply, SingleEngineBackend,
+    build_backend, BatchScheduler, EngineBackend, QueryBackend, QueryReply, SingleEngineBackend,
 };

@@ -19,7 +19,7 @@
 
 use crate::config::{ExecutionMode, ServerConfig, StoreChoice};
 use crate::protocol::{refusal, CollectionInfo, ServiceMetrics, DEFAULT_COLLECTION};
-use crate::scheduler::{build_backend_with_recorder, BatchScheduler, QueryBackend};
+use crate::scheduler::{build_backend, BatchScheduler, QueryBackend};
 use mq_core::{Answer, ExecutionStats, QueryType};
 use mq_index::LinearScan;
 use mq_metric::{Metric, Vector, VectorMetric};
@@ -81,7 +81,7 @@ impl Collection {
         );
         Self {
             name: name.to_string(),
-            scheduler: BatchScheduler::start_with_recorder(backend, config, recorder),
+            scheduler: BatchScheduler::start(backend, config, recorder),
             metric: metric_static_name(config.metric),
             objects,
             store_dir,
@@ -326,7 +326,7 @@ impl CollectionRegistry {
                 Some(dir) => StoreChoice::File(dir),
                 None => StoreChoice::Sim,
             };
-            let backend = build_backend_with_recorder(&db, &config, 0.10, &self.recorder, |ds| {
+            let backend = build_backend(&db, &config, 0.10, &self.recorder, |ds| {
                 let db = PagedDatabase::pack(ds, Default::default());
                 let index: Box<dyn mq_index::SimilarityIndex<Vector>> =
                     Box::new(LinearScan::new(db.page_count()));

@@ -16,12 +16,10 @@ use crate::protocol::ServiceMetrics;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use mq_approx::{ApproxTier, BinarySketch, BqPrescreen, DEFAULT_PLANES, SKETCH_FILE};
 use mq_core::{
-    Answer, ExecutionStats, FaultPolicy, LeaderPolicy, QueryEngine, QueryType, StatsProbe,
-    WorkerPool,
+    Answer, CandidatePrescreen, EngineOptions, ExecutionStats, FaultPolicy, LeaderPolicy, QueryType,
 };
-use mq_core::{CandidatePrescreen, EngineObs};
 use mq_index::{LinearScan, SimilarityIndex};
-use mq_metric::{CountingMetric, Metric, ObjectId, Vector, VectorMetric};
+use mq_metric::{Metric, ObjectId, Vector, VectorMetric};
 use mq_obs::{Counter, Histogram, Recorder, DURATION_BOUNDS, SIZE_BOUNDS};
 use mq_parallel::{Declustering, Server, SharedNothingCluster};
 use mq_storage::{Dataset, PageStore, PagedDatabase, SimulatedDisk, VectorCodec};
@@ -30,7 +28,7 @@ use mq_store::{
 };
 use mq_vafile::VaPageIndex;
 use parking_lot::Mutex;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -72,36 +70,23 @@ pub trait QueryBackend: Send + Sync + 'static {
     fn describe(&self) -> String;
 }
 
-/// Single-engine backend: one page store (simulated or file-backed), one
-/// access method, §5.1–5.2 batched execution.
-pub struct SingleEngineBackend {
-    disk: Box<dyn PageStore<Vector>>,
-    index: Box<dyn SimilarityIndex<Vector>>,
-    metric: CountingMetric<VectorMetric>,
-    avoidance: bool,
-    threads: usize,
-    prefetch_depth: usize,
-    leader: LeaderPolicy,
-    /// The backend's persistent page-evaluation pool: created once (by
-    /// [`with_threads`](Self::with_threads)) and shared by the short-lived
-    /// engine of every batch, so batches never pay thread spawn/join.
-    /// `None` while `threads == 1`.
-    pool: Option<Arc<WorkerPool>>,
-    fault_policy: FaultPolicy,
+/// The serving backend: a §5.3 shared-nothing cluster of one or more
+/// partitions, each an engine over its own page store (simulated or
+/// file-backed) and access method. A single engine is the one-partition
+/// case with identity global ids, so both execution modes share one
+/// construction path and one `execute`.
+pub struct EngineBackend {
+    cluster: SharedNothingCluster<Vector, VectorMetric>,
     dims: usize,
-    /// Observability handle; disabled by default. Kept so `with_threads`
-    /// can rebuild the pool with it regardless of builder call order.
-    recorder: Recorder,
-    /// Engine instruments shared by the short-lived engine of every batch.
-    obs: Option<Arc<EngineObs>>,
-    /// Optional approximate candidate tier restricting every batch's
-    /// sessions before the exact re-rank.
-    prescreen: Option<Arc<dyn CandidatePrescreen<Vector>>>,
 }
 
-impl SingleEngineBackend {
-    /// Wraps a database and its index. `buffer_fraction` sizes the page
-    /// buffer as in [`SimulatedDisk::new`].
+/// An alias of [`EngineBackend`] that exists only because the benchmark
+/// harness names it; in-repo callers use [`EngineBackend`].
+pub type SingleEngineBackend = EngineBackend;
+
+impl EngineBackend {
+    /// Wraps a database and its index as one partition. `buffer_fraction`
+    /// sizes the page buffer as in [`SimulatedDisk::new`].
     pub fn new(
         db: PagedDatabase<Vector>,
         index: Box<dyn SimilarityIndex<Vector>>,
@@ -112,94 +97,121 @@ impl SingleEngineBackend {
         Self::from_store(disk, index, avoidance)
     }
 
-    /// Wraps an already-built page store (any backend) and its index. This
-    /// is how the durable `mq-store` backend joins the scheduler: the
-    /// caller opens or creates the [`FilePageStore`] and hands it over
-    /// boxed.
+    /// Wraps an already-built page store (any backend) and its index as
+    /// one partition.
     pub fn from_store(
         disk: Box<dyn PageStore<Vector>>,
         index: Box<dyn SimilarityIndex<Vector>>,
         avoidance: bool,
     ) -> Self {
-        let dims = dims_of(disk.database());
+        Self::from_servers(vec![whole_server(disk, index, VectorMetric::default())]).with_options(
+            EngineOptions {
+                avoidance,
+                ..EngineOptions::default()
+            },
+        )
+    }
+
+    /// Assembles the backend from already-built partitions (any page-store
+    /// backend); their engines start at [`EngineOptions::default`].
+    pub fn from_servers(servers: Vec<Server<Vector, VectorMetric>>) -> Self {
+        let dims = servers
+            .iter()
+            .map(|s| dims_of(s.disk().database()))
+            .find(|&d| d > 0)
+            .unwrap_or(0);
         Self {
-            disk,
-            index,
-            metric: CountingMetric::new(VectorMetric::default()),
-            avoidance,
-            threads: 1,
-            prefetch_depth: 0,
-            leader: LeaderPolicy::default(),
-            pool: None,
-            fault_policy: FaultPolicy::default(),
+            cluster: SharedNothingCluster::from_servers(servers),
             dims,
-            recorder: Recorder::disabled(),
-            obs: None,
-            prescreen: None,
         }
     }
 
-    /// Evaluates each loaded page with `threads` engine workers (clamped
-    /// to ≥ 1). Answers and counters are identical for every value. With
-    /// `threads > 1` this creates the backend's persistent worker pool.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self.pool = (self.threads > 1)
-            .then(|| Arc::new(WorkerPool::with_recorder(self.threads, &self.recorder)));
+    /// Runs every partition's engine with `options`. Answers and counters
+    /// are identical for every thread count, prefetch depth and leader
+    /// policy; with `threads > 1` each partition gets a persistent worker
+    /// pool reused across batches.
+    pub fn with_options(mut self, options: EngineOptions) -> Self {
+        self.cluster = self.cluster.with_options(options);
         self
     }
 
-    /// Attaches an observability [`Recorder`]: engine counters and stage
-    /// spans, the disk's buffer/prefetch/fault counters, and the worker
-    /// pool's per-worker counters. Order-independent with
-    /// [`with_threads`](Self::with_threads) — the pool is rebuilt here.
-    pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
-        self.recorder = recorder.clone();
-        self.obs = EngineObs::new(recorder);
-        self.disk.attach_recorder(recorder);
-        self.pool = (self.threads > 1)
-            .then(|| Arc::new(WorkerPool::with_recorder(self.threads, &self.recorder)));
-        self
+    /// Changes one field of the engine options.
+    fn with_option(self, set: impl FnOnce(&mut EngineOptions)) -> Self {
+        let mut options = self.cluster.options();
+        set(&mut options);
+        self.with_options(options)
     }
 
-    /// Stages up to `depth` pages ahead per batch (pipelined prefetch).
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.prefetch_depth = depth;
-        self
+    /// Sets [`EngineOptions::threads`].
+    pub fn with_threads(self, threads: usize) -> Self {
+        self.with_option(|o| o.threads = threads)
     }
 
-    /// Selects which pending query leads each step of a batch.
-    pub fn with_leader(mut self, leader: LeaderPolicy) -> Self {
-        self.leader = leader;
-        self
+    /// Sets [`EngineOptions::prefetch_depth`].
+    pub fn with_prefetch_depth(self, depth: usize) -> Self {
+        self.with_option(|o| o.prefetch_depth = depth)
     }
 
-    /// Sets the engine's transient-fault retry budget (only matters when
-    /// the disk has a [`mq_storage::FaultPlan`] installed).
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.fault_policy = FaultPolicy::new(budget);
-        self
+    /// Sets [`EngineOptions::leader`].
+    pub fn with_leader(self, leader: LeaderPolicy) -> Self {
+        self.with_option(|o| o.leader = leader)
+    }
+
+    /// Sets the retry budget of [`EngineOptions::fault_policy`].
+    pub fn with_retry_budget(self, budget: u32) -> Self {
+        self.with_option(|o| o.fault_policy = FaultPolicy::new(budget))
     }
 
     /// Selects the distance function. Non-Euclidean metrics must be paired
     /// with a sequential-scan index (see [`ServerConfig::metric`]).
     pub fn with_metric(mut self, metric: VectorMetric) -> Self {
-        self.metric = CountingMetric::new(metric);
+        self.cluster = self.cluster.with_metric(metric);
         self
     }
 
-    /// Installs an approximate candidate tier: every batch's session is
-    /// restricted to the tier's per-query candidates before the exact
-    /// re-rank (see [`mq_core::CandidatePrescreen`]).
-    pub fn with_prescreen(mut self, prescreen: Arc<dyn CandidatePrescreen<Vector>>) -> Self {
-        self.prescreen = Some(prescreen);
+    /// Attaches an observability [`Recorder`]: engine counters and stage
+    /// spans, per-partition counters, every disk's buffer/prefetch/fault
+    /// counters, and the worker pools' per-worker counters.
+    pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
+        self.cluster = self.cluster.with_recorder(recorder);
         self
     }
 
-    /// The backend's page store (fault-plan installation in tests).
-    pub fn disk(&self) -> &dyn PageStore<Vector> {
-        &*self.disk
+    /// Installs the approximate candidate tier (`None` keeps the backend
+    /// exact): one prescreen per partition, built over that partition's
+    /// local id space. `store_dirs` holds each file-backed partition's
+    /// directory, where its binary sketch is loaded from — or rebuilt
+    /// into — `sketch.mqbq`; it is empty for simulated stores.
+    pub fn with_approx(mut self, tier: Option<ApproxTier>, store_dirs: &[PathBuf]) -> Self {
+        let Some(tier) = tier else { return self };
+        let prescreens = self
+            .cluster
+            .servers()
+            .iter()
+            .enumerate()
+            .map(|(p, s)| {
+                build_prescreen(
+                    tier,
+                    s.disk().database(),
+                    store_dirs.get(p).map(PathBuf::as_path),
+                )
+            })
+            .collect();
+        self.cluster = self.cluster.with_prescreens(prescreens);
+        self
     }
+}
+
+/// One partition holding the whole database: identity global ids.
+fn whole_server(
+    disk: Box<dyn PageStore<Vector>>,
+    index: Box<dyn SimilarityIndex<Vector>>,
+    metric: VectorMetric,
+) -> Server<Vector, VectorMetric> {
+    let ids = (0..disk.database().object_count() as u32)
+        .map(ObjectId)
+        .collect();
+    Server::from_parts(disk, index, metric, ids)
 }
 
 /// Dimensionality of the first live vector, or 0 when the database holds
@@ -210,178 +222,11 @@ fn dims_of(db: &PagedDatabase<Vector>) -> usize {
         .map_or(0, |v| v.dim())
 }
 
-impl QueryBackend for SingleEngineBackend {
+impl QueryBackend for EngineBackend {
     fn execute(&self, queries: Vec<(Vector, QueryType)>) -> (Vec<Vec<Answer>>, ExecutionStats) {
-        let mut engine = QueryEngine::new(&*self.disk, &*self.index, self.metric.clone())
-            .with_threads(self.threads)
-            .with_prefetch_depth(self.prefetch_depth)
-            .with_leader_policy(self.leader)
-            .with_fault_policy(self.fault_policy)
-            .with_obs(self.obs.clone());
-        if let Some(pool) = &self.pool {
-            engine = engine.with_pool(Arc::clone(pool));
-        }
-        if let Some(prescreen) = &self.prescreen {
-            engine = engine.with_prescreen(&**prescreen);
-        }
-        let engine = if self.avoidance {
-            engine
-        } else {
-            engine.without_avoidance()
-        };
-        let probe = StatsProbe::start(&*self.disk, self.metric.counter(), Default::default());
-        let mut session = engine.new_session(queries);
-        engine.run_to_completion(&mut session);
-        let stats = probe.finish(&*self.disk, session.avoidance_stats());
-        (session.into_answers(), stats)
-    }
-
-    fn dimensions(&self) -> usize {
-        self.dims
-    }
-
-    fn object_count(&self) -> u64 {
-        self.disk.database().object_count() as u64
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "single engine, {} pages, avoidance {}, approx {}",
-            self.disk.database().page_count(),
-            if self.avoidance { "on" } else { "off" },
-            self.prescreen.as_deref().map_or("off", |p| p.name()),
-        )
-    }
-}
-
-/// Cluster backend: a §5.3 shared-nothing cluster evaluates every batch in
-/// parallel across its servers.
-pub struct ClusterBackend {
-    cluster: SharedNothingCluster<Vector, CountingMetric<VectorMetric>>,
-    servers: usize,
-    avoidance: bool,
-    dims: usize,
-}
-
-impl ClusterBackend {
-    /// Declusters `objects` round-robin over `servers` local engines,
-    /// building each server's index with `build_index` and evaluating
-    /// `metric` on every server.
-    pub fn build<F>(
-        objects: &[Vector],
-        servers: usize,
-        buffer_fraction: f64,
-        avoidance: bool,
-        metric: VectorMetric,
-        build_index: F,
-    ) -> Self
-    where
-        F: Fn(
-            &mq_storage::Dataset<Vector>,
-        ) -> (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>),
-    {
-        let cluster = SharedNothingCluster::build(
-            objects,
-            servers,
-            Declustering::RoundRobin,
-            CountingMetric::new(metric),
-            buffer_fraction,
-            build_index,
-        );
-        Self {
-            cluster,
-            servers,
-            avoidance,
-            dims: objects.first().map_or(0, |v| v.dim()),
-        }
-    }
-
-    /// Assembles the backend from already-built servers (any page-store
-    /// backend). This is how durable per-partition `mq-store` stores join
-    /// the cluster path.
-    pub fn from_servers(
-        servers: Vec<Server<Vector, CountingMetric<VectorMetric>>>,
-        avoidance: bool,
-    ) -> Self {
-        let dims = servers
-            .iter()
-            .map(|s| dims_of(s.disk().database()))
-            .find(|&d| d > 0)
-            .unwrap_or(0);
-        let count = servers.len();
-        Self {
-            cluster: SharedNothingCluster::from_servers(servers),
-            servers: count,
-            avoidance,
-            dims,
-        }
-    }
-
-    /// Evaluates each loaded page with `threads` engine workers on every
-    /// cluster server (clamped to ≥ 1). With `threads > 1` each server
-    /// gets its own persistent worker pool, reused across batches.
-    pub fn with_engine_threads(mut self, threads: usize) -> Self {
-        self.cluster = self.cluster.with_engine_threads(threads);
-        self
-    }
-
-    /// Stages up to `depth` pages ahead on every server (pipelined
-    /// prefetch).
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.cluster = self.cluster.with_prefetch_depth(depth);
-        self
-    }
-
-    /// Selects the leader scheduling policy on every server.
-    pub fn with_leader(mut self, leader: LeaderPolicy) -> Self {
-        self.cluster = self.cluster.with_leader_policy(leader);
-        self
-    }
-
-    /// Sets every server engine's transient-fault retry budget.
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.cluster = self.cluster.with_fault_policy(FaultPolicy::new(budget));
-        self
-    }
-
-    /// Attaches an observability [`Recorder`] to the whole cluster —
-    /// per-partition counters, every server disk, every worker pool.
-    pub fn with_recorder(mut self, recorder: &Recorder) -> Self {
-        self.cluster = self.cluster.with_recorder(recorder);
-        self
-    }
-
-    /// Installs the approximate candidate tier on every partition: one
-    /// prescreen per server, built over that server's partition-local id
-    /// space. With `sidecar_root` set (file-store clusters), each
-    /// partition's binary sketch is loaded from — or rebuilt into —
-    /// `<root>/part-<i>/sketch.mqbq`.
-    pub fn with_approx(mut self, tier: ApproxTier, sidecar_root: Option<&Path>) -> Self {
-        let prescreens: Vec<Arc<dyn CandidatePrescreen<Vector>>> = self
-            .cluster
-            .servers()
-            .iter()
-            .enumerate()
-            .map(|(p, s)| {
-                let sidecar = sidecar_root.map(|root| root.join(format!("part-{p}")));
-                build_prescreen(tier, s.disk().database(), sidecar.as_deref())
-            })
-            .collect();
-        self.cluster = self.cluster.with_prescreens(prescreens);
-        self
-    }
-
-    /// The underlying cluster (fault-plan installation in tests).
-    pub fn cluster(&self) -> &SharedNothingCluster<Vector, CountingMetric<VectorMetric>> {
-        &self.cluster
-    }
-}
-
-impl QueryBackend for ClusterBackend {
-    fn execute(&self, queries: Vec<(Vector, QueryType)>) -> (Vec<Vec<Answer>>, ExecutionStats) {
-        let (answers, cluster_stats) = self.cluster.multiple_query(&queries, self.avoidance);
-        // Sum of per-server work; elapsed is the parallel wall-clock, not
-        // the sum — that is the whole point of the cluster path.
+        let (answers, cluster_stats) = self.cluster.multiple_query(&queries);
+        // Sum of per-partition work; elapsed is the parallel wall-clock,
+        // not the sum.
         let mut stats = cluster_stats.total();
         stats.elapsed = cluster_stats.elapsed;
         (answers, stats)
@@ -400,10 +245,19 @@ impl QueryBackend for ClusterBackend {
     }
 
     fn describe(&self) -> String {
+        let servers = self.cluster.servers();
         format!(
-            "shared-nothing cluster of {} servers, avoidance {}, approx {}",
-            self.servers,
-            if self.avoidance { "on" } else { "off" },
+            "engine over {} partition(s), {} pages, avoidance {}, approx {}",
+            servers.len(),
+            servers
+                .iter()
+                .map(|s| s.disk().database().page_count())
+                .sum::<usize>(),
+            if self.cluster.options().avoidance {
+                "on"
+            } else {
+                "off"
+            },
             self.cluster
                 .prescreen_names()
                 .first()
@@ -543,15 +397,10 @@ impl BatchScheduler {
     /// Starts [`ServerConfig::workers`] worker threads over `backend` with
     /// the given batching knobs. The workers share the submission queue
     /// (each job is delivered to exactly one) and draw batch ids from one
-    /// shared counter.
-    pub fn start(backend: Box<dyn QueryBackend>, config: &ServerConfig) -> Self {
-        Self::start_with_recorder(backend, config, &Recorder::disabled())
-    }
-
-    /// [`start`](Self::start) with scheduler observability: batch-size and
-    /// queue-wait histograms plus flush-reason counters registered on
-    /// `recorder`. A disabled recorder makes this identical to `start`.
-    pub fn start_with_recorder(
+    /// shared counter. Batch-size and queue-wait histograms plus
+    /// flush-reason counters are registered on `recorder`; a disabled
+    /// recorder records nothing.
+    pub fn start(
         backend: Box<dyn QueryBackend>,
         config: &ServerConfig,
         recorder: &Recorder,
@@ -743,42 +592,17 @@ fn worker_loop(
 }
 
 /// Builds the backend selected by `config.mode` and `config.store` from a
-/// database and an index-builder callback (invoked once per cluster
-/// server, or once for the single-engine path; ignored by the file-backed
-/// store, which always serves its recovered layout through a sequential
-/// scan).
+/// database and an index-builder callback (invoked once per simulated
+/// partition; ignored by the file-backed store, which always serves its
+/// recovered layout as-is). `recorder` is threaded through the backend:
+/// engine counters, disk counters, worker pools, store durability
+/// counters and per-partition counters.
 ///
 /// # Errors
-/// Fails only in file-store mode, when the store directory cannot be
-/// created, opened, or recovered.
+/// Fails in file-store mode when the store directory cannot be created,
+/// opened, or recovered, and on a metric that the approximate tier or the
+/// VA page index cannot serve.
 pub fn build_backend<F>(
-    db: &PagedDatabase<Vector>,
-    config: &ServerConfig,
-    buffer_fraction: f64,
-    build_index: F,
-) -> Result<Box<dyn QueryBackend>, StoreError>
-where
-    F: Fn(
-        &mq_storage::Dataset<Vector>,
-    ) -> (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>),
-{
-    build_backend_with_recorder(
-        db,
-        config,
-        buffer_fraction,
-        &Recorder::disabled(),
-        build_index,
-    )
-}
-
-/// [`build_backend`] with an observability [`Recorder`] threaded through
-/// the backend (engine counters, disk counters, worker pools, store
-/// durability counters, and — in cluster mode — per-partition counters).
-///
-/// # Errors
-/// Fails only in file-store mode, when the store directory cannot be
-/// created, opened, or recovered.
-pub fn build_backend_with_recorder<F>(
     db: &PagedDatabase<Vector>,
     config: &ServerConfig,
     buffer_fraction: f64,
@@ -809,22 +633,27 @@ where
             config.metric.name()
         )));
     }
-    match (&config.mode, &config.store) {
-        (ExecutionMode::Single, StoreChoice::Sim) => {
-            let (index, db) = build_index(&db.to_dataset());
-            let prescreen = config.approx.map(|tier| build_prescreen(tier, &db, None));
-            let mut backend =
-                SingleEngineBackend::new(db, index, buffer_fraction, config.avoidance)
-                    .with_metric(config.metric)
-                    .with_threads(config.threads)
-                    .with_prefetch_depth(config.prefetch_depth)
-                    .with_leader(config.leader)
-                    .with_retry_budget(config.retry_budget)
-                    .with_recorder(recorder);
-            if let Some(p) = prescreen {
-                backend = backend.with_prescreen(p);
-            }
-            Ok(Box::new(backend))
+    let (servers, store_dirs) = match (&config.mode, &config.store) {
+        (mode, StoreChoice::Sim) => {
+            let parts = match mode {
+                ExecutionMode::Single => 1,
+                ExecutionMode::Cluster { servers } => (*servers).max(1),
+            };
+            let ds = db.to_dataset();
+            let servers = Declustering::RoundRobin
+                .partition(ds.len(), parts)
+                .iter()
+                .map(|part| {
+                    Server::build(
+                        ds.objects(),
+                        part,
+                        config.metric,
+                        buffer_fraction,
+                        &build_index,
+                    )
+                })
+                .collect();
+            (servers, Vec::new())
         }
         (ExecutionMode::Single, StoreChoice::File(dir)) => {
             // A partition of a clustered store must not be served alone:
@@ -841,41 +670,8 @@ where
             }
             let store = open_or_create_store(dir, db, buffer_fraction)?;
             let index = file_store_index(store.database(), config.file_index);
-            let prescreen = config
-                .approx
-                .map(|tier| build_prescreen(tier, store.database(), Some(dir)));
-            let mut backend =
-                SingleEngineBackend::from_store(Box::new(store), index, config.avoidance)
-                    .with_metric(config.metric)
-                    .with_threads(config.threads)
-                    .with_prefetch_depth(config.prefetch_depth)
-                    .with_leader(config.leader)
-                    .with_retry_budget(config.retry_budget)
-                    .with_recorder(recorder);
-            if let Some(p) = prescreen {
-                backend = backend.with_prescreen(p);
-            }
-            Ok(Box::new(backend))
-        }
-        (ExecutionMode::Cluster { servers }, StoreChoice::Sim) => {
-            let ds = db.to_dataset();
-            let mut backend = ClusterBackend::build(
-                ds.objects(),
-                (*servers).max(1),
-                buffer_fraction,
-                config.avoidance,
-                config.metric,
-                build_index,
-            )
-            .with_engine_threads(config.threads)
-            .with_prefetch_depth(config.prefetch_depth)
-            .with_leader(config.leader)
-            .with_retry_budget(config.retry_budget)
-            .with_recorder(recorder);
-            if let Some(tier) = config.approx {
-                backend = backend.with_approx(tier, None);
-            }
-            Ok(Box::new(backend))
+            let server = whole_server(Box::new(store), index, config.metric);
+            (vec![server], vec![dir.clone()])
         }
         (ExecutionMode::Cluster { servers }, StoreChoice::File(dir)) => {
             let parts = open_or_create_partition_stores(
@@ -886,18 +682,16 @@ where
                 config.metric,
                 config.file_index,
             )?;
-            let mut backend = ClusterBackend::from_servers(parts, config.avoidance)
-                .with_engine_threads(config.threads)
-                .with_prefetch_depth(config.prefetch_depth)
-                .with_leader(config.leader)
-                .with_retry_budget(config.retry_budget)
-                .with_recorder(recorder);
-            if let Some(tier) = config.approx {
-                backend = backend.with_approx(tier, Some(dir));
-            }
-            Ok(Box::new(backend))
+            let dirs = (0..parts.len()).map(|p| partition_dir(dir, p)).collect();
+            (parts, dirs)
         }
-    }
+    };
+    Ok(Box::new(
+        EngineBackend::from_servers(servers)
+            .with_options(config.engine_options())
+            .with_recorder(recorder)
+            .with_approx(config.approx, &store_dirs),
+    ))
 }
 
 /// Builds the access method for a recovered file-store layout: a
@@ -970,6 +764,11 @@ fn open_or_create_store(
     }
 }
 
+/// The store directory of cluster partition `p` under `dir`.
+fn partition_dir(dir: &Path, p: usize) -> PathBuf {
+    dir.join(format!("part-{p}"))
+}
+
 /// Builds one durable store per cluster partition under
 /// `dir/part-<i>/`.
 ///
@@ -994,8 +793,8 @@ fn open_or_create_partition_stores(
     buffer_fraction: f64,
     metric: VectorMetric,
     file_index: FileIndex,
-) -> Result<Vec<Server<Vector, CountingMetric<VectorMetric>>>, StoreError> {
-    let part_dir = |p: usize| dir.join(format!("part-{p}"));
+) -> Result<Vec<Server<Vector, VectorMetric>>, StoreError> {
+    let part_dir = |p: usize| partition_dir(dir, p);
     let mut out = Vec::new();
     if part_dir(0).join(SEGMENT_FILE).exists() {
         let mut parts = 0;
@@ -1042,7 +841,7 @@ fn open_or_create_partition_stores(
             out.push(Server::from_parts(
                 Box::new(store),
                 index,
-                CountingMetric::new(metric),
+                metric,
                 manifest.global_ids,
             ));
         }
@@ -1072,7 +871,7 @@ fn open_or_create_partition_stores(
             out.push(Server::from_parts(
                 Box::new(store),
                 index,
-                CountingMetric::new(metric),
+                metric,
                 global_ids,
             ));
         }
@@ -1095,7 +894,7 @@ mod tests {
     fn scan_backend(n: usize) -> Box<dyn QueryBackend> {
         let db = line_db(n);
         let scan = LinearScan::new(db.page_count());
-        Box::new(SingleEngineBackend::new(db, Box::new(scan), 0.10, true))
+        Box::new(EngineBackend::new(db, Box::new(scan), 0.10, true))
     }
 
     #[test]
@@ -1103,7 +902,7 @@ mod tests {
         let config = ServerConfig::default()
             .with_max_batch(4)
             .with_max_wait(Duration::from_millis(5));
-        let scheduler = BatchScheduler::start(scan_backend(100), &config);
+        let scheduler = BatchScheduler::start(scan_backend(100), &config, &Recorder::disabled());
         let rxs: Vec<_> = (0..8)
             .map(|i| scheduler.submit(Vector::new(vec![i as f32 * 10.0]), QueryType::knn(1)))
             .collect();
@@ -1124,7 +923,7 @@ mod tests {
         let config = ServerConfig::default()
             .with_max_batch(4)
             .with_max_wait(Duration::from_millis(2));
-        let scheduler = BatchScheduler::start(scan_backend(100), &config);
+        let scheduler = BatchScheduler::start(scan_backend(100), &config, &Recorder::disabled());
         assert_eq!(scheduler.in_flight(), 0);
         let rxs: Vec<_> = (0..6)
             .map(|i| scheduler.submit(Vector::new(vec![i as f32]), QueryType::knn(1)))
@@ -1146,7 +945,7 @@ mod tests {
         let config = ServerConfig::default()
             .with_max_batch(1000)
             .with_max_wait(Duration::from_millis(10));
-        let scheduler = BatchScheduler::start(scan_backend(50), &config);
+        let scheduler = BatchScheduler::start(scan_backend(50), &config, &Recorder::disabled());
         let rx = scheduler.submit(Vector::new(vec![7.0]), QueryType::knn(2));
         let reply = rx
             .recv_timeout(Duration::from_secs(5))
@@ -1160,7 +959,7 @@ mod tests {
         let config = ServerConfig::default()
             .with_max_batch(3)
             .with_max_wait(Duration::from_secs(3600));
-        let scheduler = BatchScheduler::start(scan_backend(50), &config);
+        let scheduler = BatchScheduler::start(scan_backend(50), &config, &Recorder::disabled());
         let rxs: Vec<_> = (0..3)
             .map(|i| scheduler.submit(Vector::new(vec![i as f32]), QueryType::knn(1)))
             .collect();
@@ -1179,7 +978,7 @@ mod tests {
             .with_max_batch(1)
             .with_max_wait(Duration::from_millis(1))
             .with_workers(3);
-        let scheduler = BatchScheduler::start(scan_backend(100), &config);
+        let scheduler = BatchScheduler::start(scan_backend(100), &config, &Recorder::disabled());
         let rxs: Vec<_> = (0..12)
             .map(|i| scheduler.submit(Vector::new(vec![i as f32 * 5.0]), QueryType::knn(1)))
             .collect();
@@ -1206,10 +1005,13 @@ mod tests {
         let plain = scan_backend(120).execute(queries.clone());
         let db = line_db(120);
         let scan = LinearScan::new(db.page_count());
-        let pipelined = SingleEngineBackend::new(db, Box::new(scan), 0.10, true)
-            .with_threads(2)
-            .with_prefetch_depth(2)
-            .with_leader(LeaderPolicy::NearestChain);
+        let pipelined =
+            EngineBackend::new(db, Box::new(scan), 0.10, true).with_options(EngineOptions {
+                threads: 2,
+                prefetch_depth: 2,
+                leader: LeaderPolicy::NearestChain,
+                ..EngineOptions::default()
+            });
         // Two batches through the same backend: the persistent pool is
         // created once and must survive reuse.
         for round in 0..2 {
@@ -1223,31 +1025,70 @@ mod tests {
     }
 
     #[test]
-    fn cluster_backend_agrees_with_single() {
-        let db = line_db(120);
+    fn one_partition_matches_a_bare_engine_and_three_partitions_agree() {
+        use mq_core::{QueryEngine, StatsProbe};
+        use mq_metric::CountingMetric;
         let queries: Vec<(Vector, QueryType)> = (0..6)
             .map(|i| (Vector::new(vec![i as f32 * 17.0 + 0.4]), QueryType::knn(3)))
             .collect();
-        let single = scan_backend(120).execute(queries.clone());
-        let cluster = ClusterBackend::build(
-            db.to_dataset().objects(),
-            3,
-            0.10,
-            true,
-            VectorMetric::Euclidean,
-            |ds| {
-                let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
-                (
-                    Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
-                    db,
-                )
-            },
-        );
-        let clustered = cluster.execute(queries);
-        for (a, b) in single.0.iter().zip(&clustered.0) {
-            let ia: Vec<u32> = a.iter().map(|x| x.id.0).collect();
-            let ib: Vec<u32> = b.iter().map(|x| x.id.0).collect();
-            assert_eq!(ia, ib);
+        let bits = |answers: &[Vec<Answer>]| -> Vec<Vec<(u32, u64)>> {
+            answers
+                .iter()
+                .map(|list| {
+                    list.iter()
+                        .map(|a| (a.id.0, a.distance.to_bits()))
+                        .collect()
+                })
+                .collect()
+        };
+        for avoidance in [true, false] {
+            for threads in [1, 2] {
+                let options = EngineOptions {
+                    avoidance,
+                    threads,
+                    ..EngineOptions::default()
+                };
+                let label = format!("avoidance {avoidance}, threads {threads}");
+
+                // A plain engine over an identical store.
+                let db = line_db(120);
+                let scan = LinearScan::new(db.page_count());
+                let disk = SimulatedDisk::new(db, 0.10);
+                let metric = CountingMetric::new(VectorMetric::default());
+                let engine = QueryEngine::new(&disk, &scan, metric.clone()).with_options(options);
+                let probe = StatsProbe::start(&disk, metric.counter(), Default::default());
+                let mut session = engine.new_session(queries.clone());
+                engine.run_to_completion(&mut session);
+                let mut want_stats = probe.finish(&disk, session.avoidance_stats());
+                let want = session.into_answers();
+
+                let db = line_db(120);
+                let scan = LinearScan::new(db.page_count());
+                let backend =
+                    EngineBackend::new(db, Box::new(scan), 0.10, avoidance).with_options(options);
+                let (got, mut got_stats) = backend.execute(queries.clone());
+                assert_eq!(bits(&got), bits(&want), "{label}");
+                want_stats.elapsed = Duration::ZERO;
+                got_stats.elapsed = Duration::ZERO;
+                assert_eq!(got_stats, want_stats, "{label}");
+
+                let config = ServerConfig::default()
+                    .with_mode(ExecutionMode::Cluster { servers: 3 })
+                    .with_avoidance(avoidance)
+                    .with_threads(threads);
+                let cluster =
+                    build_backend(&line_db(120), &config, 0.10, &Recorder::disabled(), |ds| {
+                        let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
+                        (
+                            Box::new(LinearScan::new(db.page_count()))
+                                as Box<dyn SimilarityIndex<Vector>>,
+                            db,
+                        )
+                    })
+                    .expect("sim cluster backend");
+                let (clustered, _) = cluster.execute(queries.clone());
+                assert_eq!(bits(&clustered), bits(&want), "3 partitions, {label}");
+            }
         }
     }
 
@@ -1282,7 +1123,7 @@ mod tests {
         let backend = Box::new(FussyBackend {
             inner: scan_backend(30),
         });
-        let scheduler = BatchScheduler::start(backend, &config);
+        let scheduler = BatchScheduler::start(backend, &config, &Recorder::disabled());
         let bad = scheduler.submit(Vector::new(vec![1.0, 2.0]), QueryType::knn(1));
         assert!(
             bad.recv_timeout(Duration::from_secs(5)).is_err(),
@@ -1315,9 +1156,15 @@ mod tests {
         let queries: Vec<(Vector, QueryType)> = (0..6)
             .map(|i| (Vector::new(vec![i as f32 * 19.0 + 0.3]), QueryType::knn(3)))
             .collect();
-        let oracle = build_backend(&db, &ServerConfig::default(), 0.10, build)
-            .expect("sim backend")
-            .execute(queries.clone());
+        let oracle = build_backend(
+            &db,
+            &ServerConfig::default(),
+            0.10,
+            &Recorder::disabled(),
+            build,
+        )
+        .expect("sim backend")
+        .execute(queries.clone());
 
         for (mode, sub) in [
             (ExecutionMode::Single, "single"),
@@ -1328,8 +1175,8 @@ mod tests {
                 .with_store(StoreChoice::File(dir.join(sub)));
             // First build creates the store, second reopens it from disk.
             for round in ["create", "reopen"] {
-                let backend =
-                    build_backend(&db, &config, 0.10, build).expect("file backend builds");
+                let backend = build_backend(&db, &config, 0.10, &Recorder::disabled(), build)
+                    .expect("file backend builds");
                 let (answers, _) = backend.execute(queries.clone());
                 for (qi, (a, b)) in oracle.0.iter().zip(&answers).enumerate() {
                     let ia: Vec<u32> = a.iter().map(|x| x.id.0).collect();
@@ -1370,14 +1217,17 @@ mod tests {
         // silently mis-address answers.
         let dir = root.join("mutated");
         let config = cluster_config(&dir);
-        drop(build_backend(&db, &config, 0.10, build).expect("create cluster"));
+        drop(
+            build_backend(&db, &config, 0.10, &Recorder::disabled(), build)
+                .expect("create cluster"),
+        );
         {
             let mut part: FilePageStore<Vector, VectorCodec> =
                 FilePageStore::open(dir.join("part-1"), VectorCodec, 1).expect("open partition");
             part.insert(Vector::new(vec![500.0]))
                 .expect("offline insert");
         }
-        match build_backend(&db, &config, 0.10, build) {
+        match build_backend(&db, &config, 0.10, &Recorder::disabled(), build) {
             Err(StoreError::Format(msg)) => {
                 assert!(msg.contains("mutated outside the cluster"), "{msg}")
             }
@@ -1388,9 +1238,12 @@ mod tests {
         // A missing manifest leaves the global ids unknowable.
         let dir = root.join("missing");
         let config = cluster_config(&dir);
-        drop(build_backend(&db, &config, 0.10, build).expect("create cluster"));
+        drop(
+            build_backend(&db, &config, 0.10, &Recorder::disabled(), build)
+                .expect("create cluster"),
+        );
         std::fs::remove_file(dir.join("part-2").join(PARTITION_MANIFEST_FILE)).unwrap();
-        match build_backend(&db, &config, 0.10, build) {
+        match build_backend(&db, &config, 0.10, &Recorder::disabled(), build) {
             Err(StoreError::Format(msg)) => {
                 assert!(msg.contains("no partition manifest"), "{msg}")
             }
@@ -1401,9 +1254,12 @@ mod tests {
         // Serving one partition standalone would answer with local ids.
         let dir = root.join("single");
         let config = cluster_config(&dir);
-        drop(build_backend(&db, &config, 0.10, build).expect("create cluster"));
+        drop(
+            build_backend(&db, &config, 0.10, &Recorder::disabled(), build)
+                .expect("create cluster"),
+        );
         let single = ServerConfig::default().with_store(StoreChoice::File(dir.join("part-0")));
-        match build_backend(&db, &single, 0.10, build) {
+        match build_backend(&db, &single, 0.10, &Recorder::disabled(), build) {
             Err(StoreError::Format(msg)) => assert!(msg.contains("--cluster 3"), "{msg}"),
             Err(e) => panic!("unexpected error: {e}"),
             Ok(_) => panic!("single-mode serve of a partition must fail"),
@@ -1419,7 +1275,7 @@ mod tests {
         // Euclidean engine would answer id 5 and give the game away.
         let db = line_db(60);
         let config = ServerConfig::default().with_metric(VectorMetric::Dot);
-        let backend = build_backend(&db, &config, 0.10, |ds| {
+        let backend = build_backend(&db, &config, 0.10, &Recorder::disabled(), |ds| {
             let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
             (
                 Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
@@ -1451,9 +1307,15 @@ mod tests {
         let queries: Vec<(Vector, QueryType)> = (0..6)
             .map(|i| (Vector::new(vec![i as f32 * 17.0 + 0.4]), QueryType::knn(3)))
             .collect();
-        let exact = build_backend(&db, &ServerConfig::default(), 0.10, build)
-            .expect("exact backend")
-            .execute(queries.clone());
+        let exact = build_backend(
+            &db,
+            &ServerConfig::default(),
+            0.10,
+            &Recorder::disabled(),
+            build,
+        )
+        .expect("exact backend")
+        .execute(queries.clone());
 
         // A budget covering the whole collection must reproduce the exact
         // answers bit-for-bit in every mode × store combination.
@@ -1480,7 +1342,8 @@ mod tests {
                 .with_mode(mode)
                 .with_store(store)
                 .with_approx(Some(tier));
-            let backend = build_backend(&db, &config, 0.10, build).expect("approx backend builds");
+            let backend = build_backend(&db, &config, 0.10, &Recorder::disabled(), build)
+                .expect("approx backend builds");
             assert!(
                 backend.describe().contains("approx"),
                 "{}",
@@ -1510,7 +1373,7 @@ mod tests {
         // drawn from that candidate set and the distances stay exact.
         let db = line_db(120);
         let config = ServerConfig::default().with_approx(Some(ApproxTier::Bq { budget: 1 }));
-        let backend = build_backend(&db, &config, 0.10, |ds| {
+        let backend = build_backend(&db, &config, 0.10, &Recorder::disabled(), |ds| {
             let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
             (
                 Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
@@ -1550,9 +1413,15 @@ mod tests {
         let queries: Vec<(Vector, QueryType)> = (0..6)
             .map(|i| (Vector::new(vec![i as f32 * 19.0 + 0.3]), QueryType::knn(3)))
             .collect();
-        let oracle = build_backend(&db, &ServerConfig::default(), 0.10, build)
-            .expect("sim backend")
-            .execute(queries.clone());
+        let oracle = build_backend(
+            &db,
+            &ServerConfig::default(),
+            0.10,
+            &Recorder::disabled(),
+            build,
+        )
+        .expect("sim backend")
+        .execute(queries.clone());
 
         for (mode, sub) in [
             (ExecutionMode::Single, "single"),
@@ -1565,8 +1434,8 @@ mod tests {
             // Create, then reopen: the VA summary is rebuilt over the
             // recovered layout both times.
             for round in ["create", "reopen"] {
-                let backend =
-                    build_backend(&db, &config, 0.10, build).expect("vafile file backend");
+                let backend = build_backend(&db, &config, 0.10, &Recorder::disabled(), build)
+                    .expect("vafile file backend");
                 let (answers, _) = backend.execute(queries.clone());
                 for (qi, (a, b)) in oracle.0.iter().zip(&answers).enumerate() {
                     let ia: Vec<(u32, f64)> = a.iter().map(|x| (x.id.0, x.distance)).collect();
@@ -1580,7 +1449,7 @@ mod tests {
             .with_store(StoreChoice::File(dir.join("guard")))
             .with_file_index(FileIndex::VaPage)
             .with_metric(VectorMetric::Dot);
-        match build_backend(&db, &config, 0.10, build) {
+        match build_backend(&db, &config, 0.10, &Recorder::disabled(), build) {
             Err(StoreError::Format(msg)) => assert!(msg.contains("Euclidean"), "{msg}"),
             Err(e) => panic!("unexpected error: {e}"),
             Ok(_) => panic!("vafile index + dot metric must be refused"),
@@ -1594,7 +1463,7 @@ mod tests {
         let config = ServerConfig::default()
             .with_metric(VectorMetric::Cosine)
             .with_approx(Some(ApproxTier::Bq { budget: 10 }));
-        match build_backend(&db, &config, 0.10, |ds| {
+        match build_backend(&db, &config, 0.10, &Recorder::disabled(), |ds| {
             let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
             (
                 Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
@@ -1610,7 +1479,7 @@ mod tests {
     #[test]
     fn shutdown_disconnects_pending_reply_channels() {
         let config = ServerConfig::default().with_max_batch(2);
-        let scheduler = BatchScheduler::start(scan_backend(20), &config);
+        let scheduler = BatchScheduler::start(scan_backend(20), &config, &Recorder::disabled());
         let m0 = scheduler.metrics();
         assert_eq!(m0.queries, 0);
         drop(scheduler); // joins the worker without panicking

@@ -2,7 +2,7 @@
 //! marked missing partition — never a panic, never a hang, never a
 //! silently complete answer set.
 
-use mq_core::{FaultPolicy, LeaderPolicy, QueryEngine, QueryType};
+use mq_core::{EngineOptions, FaultPolicy, LeaderPolicy, QueryEngine, QueryType};
 use mq_datagen::uniform_vectors;
 use mq_index::{LinearScan, SimilarityIndex};
 use mq_metric::{Euclidean, ObjectId, Vector};
@@ -29,7 +29,10 @@ fn build_cluster(objects: &[Vector]) -> SharedNothingCluster<Vector, Euclidean> 
             (Box::new(scan) as Box<dyn SimilarityIndex<Vector>>, db)
         },
     )
-    .with_fault_policy(FaultPolicy::new(2))
+    .with_options(EngineOptions {
+        fault_policy: FaultPolicy::new(2),
+        ..EngineOptions::default()
+    })
 }
 
 fn workload(seed: u64) -> (Vec<Vector>, Vec<(Vector, QueryType)>) {
@@ -97,7 +100,7 @@ fn one_dead_server_is_marked_and_survivors_answer_exactly() {
         cluster.servers()[dead]
             .disk()
             .set_fault_plan(Some(scenario::loss_plan(seed, 0)));
-        let degraded = cluster.multiple_query_degraded(&queries, true);
+        let degraded = cluster.multiple_query_degraded(&queries);
         assert!(!degraded.is_complete(), "seed {seed}");
         assert_eq!(degraded.missing_partitions, vec![dead], "seed {seed}");
         assert!(
@@ -120,13 +123,17 @@ fn one_dead_server_is_marked_and_survivors_answer_exactly() {
 fn transient_faults_with_budget_keep_the_cluster_complete() {
     let (objects, queries) = workload(5);
     let cluster = build_cluster(&objects);
-    let healthy = cluster.multiple_query_degraded(&queries, true);
+    let healthy = cluster.multiple_query_degraded(&queries);
     assert!(healthy.is_complete());
     for server in cluster.servers() {
         server.disk().set_fault_plan(Some(scenario::disk_plan(5)));
     }
-    let cluster = cluster.with_fault_policy(FaultPolicy::new(4));
-    let faulty = cluster.multiple_query_degraded(&queries, true);
+    let options = cluster.options();
+    let cluster = cluster.with_options(EngineOptions {
+        fault_policy: FaultPolicy::new(4),
+        ..options
+    });
+    let faulty = cluster.multiple_query_degraded(&queries);
     assert!(faulty.is_complete(), "{:?}", faulty.failure_reasons);
     assert_eq!(faulty.answers, healthy.answers, "retries must be invisible");
 }
@@ -140,7 +147,7 @@ fn every_server_dead_yields_all_partitions_missing_not_a_hang() {
             .disk()
             .set_fault_plan(Some(scenario::loss_plan(si as u64, 0)));
     }
-    let degraded = cluster.multiple_query_degraded(&queries, true);
+    let degraded = cluster.multiple_query_degraded(&queries);
     assert_eq!(degraded.missing_partitions, vec![0, 1, 2]);
     assert_eq!(degraded.failure_reasons.len(), SERVERS);
     // With nothing reachable every query's merged answer list is empty.
@@ -153,14 +160,18 @@ fn degraded_mode_holds_across_engine_configs() {
     for threads in [1usize, 2] {
         for depth in [0usize, 2] {
             for leader in [LeaderPolicy::Fifo, LeaderPolicy::NearestChain] {
-                let cluster = build_cluster(&objects)
-                    .with_engine_threads(threads)
-                    .with_prefetch_depth(depth)
-                    .with_leader_policy(leader);
+                let cluster = build_cluster(&objects);
+                let options = cluster.options();
+                let cluster = cluster.with_options(EngineOptions {
+                    threads,
+                    prefetch_depth: depth,
+                    leader,
+                    ..options
+                });
                 cluster.servers()[1]
                     .disk()
                     .set_fault_plan(Some(scenario::loss_plan(13, 0)));
-                let degraded = cluster.multiple_query_degraded(&queries, true);
+                let degraded = cluster.multiple_query_degraded(&queries);
                 assert_eq!(
                     degraded.missing_partitions,
                     vec![1],

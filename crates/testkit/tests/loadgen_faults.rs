@@ -10,7 +10,7 @@ use mq_datagen::uniform_vectors;
 use mq_front::FrontServer;
 use mq_index::LinearScan;
 use mq_loadgen::{run, Mode, RequestPlan, RunOptions, WorkloadSpec};
-use mq_server::{ServerConfig, SingleEngineBackend};
+use mq_server::{EngineBackend, ServerConfig};
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use mq_testkit::{ConnFault, FlakyProxy};
 use std::time::Duration;
@@ -22,7 +22,7 @@ fn serve() -> FrontServer {
     let ds = Dataset::new(uniform_vectors(500, 3, 0xFAB));
     let db = PagedDatabase::pack(&ds, PageLayout::new(512, 16));
     let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.0, true);
+    let backend = EngineBackend::new(db, Box::new(scan), 0.0, true);
     let config = ServerConfig::default()
         .with_max_batch(4)
         .with_max_wait(Duration::from_millis(2));

@@ -11,8 +11,7 @@ use mq_front::FrontServer;
 use mq_index::{LinearScan, SimilarityIndex};
 use mq_metric::Vector;
 use mq_server::{
-    Client, ClientError, ProtocolError, RetryConfig, RetryingClient, ServerConfig,
-    SingleEngineBackend,
+    Client, ClientError, EngineBackend, ProtocolError, RetryConfig, RetryingClient, ServerConfig,
 };
 use mq_storage::{Dataset, PageLayout, PagedDatabase};
 use mq_testkit::FlakyProxy;
@@ -23,7 +22,7 @@ fn start_server() -> FrontServer {
     let ds = Dataset::new(objects);
     let db = PagedDatabase::pack(&ds, PageLayout::new(256, 16));
     let scan = LinearScan::new(db.page_count());
-    let backend = Box::new(SingleEngineBackend::new(
+    let backend = Box::new(EngineBackend::new(
         db,
         Box::new(scan) as Box<dyn SimilarityIndex<Vector>>,
         0.10,

@@ -62,7 +62,7 @@ fn main() {
                 (Box::new(tree) as Box<dyn SimilarityIndex<Vector>>, db)
             },
         );
-        let (answers, stats) = cluster.multiple_query(&queries, true);
+        let (answers, stats) = cluster.multiple_query(&queries);
         // Sanity: the first BASE_M answers match the sequential run.
         for (i, seq) in seq_answers.iter().enumerate() {
             let par_ids: Vec<ObjectId> = answers[i].iter().map(|a| a.id).collect();

@@ -2,6 +2,7 @@
 //! sequential answers for any server count, declustering strategy, and
 //! query mix.
 
+use mquery::core::EngineOptions;
 use mquery::parallel::{Declustering, SharedNothingCluster};
 use mquery::prelude::*;
 use proptest::prelude::*;
@@ -68,8 +69,9 @@ proptest! {
                 let scan = LinearScan::new(db.page_count());
                 (Box::new(scan) as Box<dyn SimilarityIndex<Vector>>, db)
             },
-        );
-        let (answers, stats) = cluster.multiple_query(&queries, avoidance);
+        )
+        .with_options(EngineOptions { avoidance, ..EngineOptions::default() });
+        let (answers, stats) = cluster.multiple_query(&queries);
         prop_assert_eq!(stats.per_server.len(), s);
         for (got, want) in answers.iter().zip(&reference) {
             let ids: Vec<ObjectId> = got.iter().map(|a| a.id).collect();
@@ -85,8 +87,9 @@ proptest! {
     }
 
     /// Per-server work partitions the whole database: summed distance
-    /// calculations with avoidance off equal n × m (scan case) plus the
-    /// per-server QObjDists initializations.
+    /// calculations with avoidance off (set through the cluster's engine
+    /// options) equal n × m (scan case) plus the per-server QObjDists
+    /// initializations.
     #[test]
     fn parallel_work_conservation(
         data in arb_points(100, 3),
@@ -107,8 +110,9 @@ proptest! {
                 let scan = LinearScan::new(db.page_count());
                 (Box::new(scan) as Box<dyn SimilarityIndex<Vector>>, db)
             },
-        );
-        let (_, stats) = cluster.multiple_query(&queries, false);
+        )
+        .with_options(EngineOptions { avoidance: false, ..EngineOptions::default() });
+        let (_, stats) = cluster.multiple_query(&queries);
         let total: u64 = stats.per_server.iter().map(|st| st.dist_calcs).sum();
         let init = s as u64 * (m * (m - 1) / 2) as u64;
         prop_assert_eq!(total, data.len() as u64 * m as u64 + init);

@@ -17,7 +17,7 @@ fn served_answers_match_local_engine() {
 
     let db = PagedDatabase::pack(&dataset, PageLayout::new(512, 16));
     let scan = LinearScan::new(db.page_count());
-    let backend = SingleEngineBackend::new(db, Box::new(scan), 0.10, true);
+    let backend = EngineBackend::new(db, Box::new(scan), 0.10, true);
     let config = ServerConfig::default().with_max_wait(Duration::from_millis(1));
     let mut server =
         FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
