@@ -101,58 +101,6 @@ fn bench_declustering(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_buffer_policy(c: &mut Criterion) {
-    // LRU (the paper's choice) vs. CLOCK vs. FIFO on a dependent workload.
-    use mq_storage::{BufferPolicy, ClockBuffer, FifoBuffer, LruBuffer};
-    let mut group = c.benchmark_group("ablation-buffer-policy");
-    group.sample_size(10);
-    let ds = clustered(3_000);
-    let queries: Vec<(Vector, QueryType)> = (0..64)
-        .map(|i| {
-            (
-                ds.object(mq_metric::ObjectId((i * 13) % 200)).clone(),
-                QueryType::knn(20),
-            )
-        })
-        .collect();
-    let make_policy = |name: &str, cap: usize| -> Box<dyn BufferPolicy> {
-        match name {
-            "lru" => Box::new(LruBuffer::new(cap)),
-            "clock" => Box::new(ClockBuffer::new(cap)),
-            _ => Box::new(FifoBuffer::new(cap)),
-        }
-    };
-    for name in ["lru", "clock", "fifo"] {
-        let (tree, db) = XTree::bulk_load(&ds, XTreeConfig::default());
-        let cap = (db.page_count() / 10).max(1);
-        let disk = SimulatedDisk::with_policy(db, make_policy(name, cap));
-        let engine = QueryEngine::new(&disk, &tree, Euclidean);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                for (q, t) in &queries {
-                    black_box(engine.similarity_query(q, t));
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_bulk_load_strategies(c: &mut Criterion) {
-    // VAMSplit vs. Z-order physical clustering.
-    use mq_index::xtree::zorder::bulk_load_zorder;
-    let mut group = c.benchmark_group("ablation-bulk-load");
-    group.sample_size(10);
-    let ds = clustered(8_000);
-    group.bench_function("vamsplit", |b| {
-        b.iter(|| black_box(XTree::bulk_load(&ds, XTreeConfig::default())))
-    });
-    group.bench_function("z-order", |b| {
-        b.iter(|| black_box(bulk_load_zorder(&ds, XTreeConfig::default())))
-    });
-    group.finish();
-}
-
 fn bench_pivot_cap(c: &mut Criterion) {
     // §7 future work: limit the quadratic pivot overhead of large batches.
     let mut group = c.benchmark_group("ablation-pivot-cap");
@@ -185,8 +133,6 @@ fn bench_pivot_cap(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_buffer_fraction,
-    bench_buffer_policy,
-    bench_bulk_load_strategies,
     bench_incremental_vs_single_dbscan,
     bench_declustering,
     bench_pivot_cap

@@ -9,7 +9,7 @@ use mq_datagen::{
 use mq_index::{LinearScan, MTree, MTreeConfig, SimilarityIndex, XTree, XTreeConfig};
 use mq_metric::{CountingMetric, Euclidean, Metric, ObjectId, Vector, VectorMetric};
 use mq_storage::{persist, Dataset, PageStore, PagedDatabase, SimulatedDisk, VectorCodec};
-use mq_vafile::{VaConfig, VaFile, VaPageIndex};
+use mq_vafile::VaPageIndex;
 use std::sync::Arc;
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
@@ -203,63 +203,38 @@ pub fn query(args: &Args) -> CmdResult {
     let metric_choice = parse_metric(args)?;
     let which = resolve_index_for_metric(args, metric_choice, "xtree")?;
     let tier = parse_approx(args, metric_choice)?;
-    if tier.is_some() && which == "vafile" {
-        return Err(
-            "--approx does not combine with the vafile filter-and-refine path; \
-             use --index scan, xtree, or mtree"
-                .into(),
-        );
-    }
     let dim = q.dim();
     let model = CostModel::paper_1999(dim);
     let metric = CountingMetric::new(metric_choice);
 
-    let (answers, stats) = if which == "vafile" {
-        let ds = stored.to_dataset();
-        let (va, data_db) = VaFile::build(
-            &ds,
-            VaConfig {
-                layout: stored.layout(),
-                ..Default::default()
-            },
+    let (index, db) = build_index(&stored, &which)?;
+    let prescreen = tier.map(|t| build_prescreen(t, &db));
+    let disk = SimulatedDisk::new(db, 0.10);
+    let mut engine = QueryEngine::new(&disk, &*index, metric.clone());
+    if let Some(p) = &prescreen {
+        engine = engine.with_prescreen(&**p);
+    }
+    let probe = StatsProbe::start(&disk, metric.counter(), Default::default());
+    let answers = if prescreen.is_some() {
+        // The prescreen hooks into session admission, so an
+        // approximate single query runs as a one-query batch.
+        let mut session = engine.new_session(vec![(q.clone(), qtype)]);
+        engine.run_to_completion(&mut session);
+        let a = session.answers(0).clone();
+        let s = session.approx_stats();
+        println!(
+            "approx {}: {} candidates, {} pages + {} objects prefiltered, {} re-ranked",
+            tier.expect("prescreen implies tier"),
+            s.candidates_emitted,
+            s.pages_skipped,
+            s.objects_skipped,
+            s.rerank_survivors,
         );
-        let disk = SimulatedDisk::new(data_db, 0.10);
-        let probe = StatsProbe::start(&disk, metric.counter(), Default::default());
-        let (answers, va_stats) = va.similarity_query(&disk, &metric, &q, &qtype);
-        let mut stats = probe.finish(&disk, Default::default());
-        stats.io += va.approx_disk().stats();
-        stats.dist_calcs += va_stats.bound_computations;
-        (answers, stats)
+        a
     } else {
-        let (index, db) = build_index(&stored, &which)?;
-        let prescreen = tier.map(|t| build_prescreen(t, &db));
-        let disk = SimulatedDisk::new(db, 0.10);
-        let mut engine = QueryEngine::new(&disk, &*index, metric.clone());
-        if let Some(p) = &prescreen {
-            engine = engine.with_prescreen(&**p);
-        }
-        let probe = StatsProbe::start(&disk, metric.counter(), Default::default());
-        let answers = if prescreen.is_some() {
-            // The prescreen hooks into session admission, so an
-            // approximate single query runs as a one-query batch.
-            let mut session = engine.new_session(vec![(q.clone(), qtype)]);
-            engine.run_to_completion(&mut session);
-            let a = session.answers(0).clone();
-            let s = session.approx_stats();
-            println!(
-                "approx {}: {} candidates, {} pages + {} objects prefiltered, {} re-ranked",
-                tier.expect("prescreen implies tier"),
-                s.candidates_emitted,
-                s.pages_skipped,
-                s.objects_skipped,
-                s.rerank_survivors,
-            );
-            a
-        } else {
-            engine.similarity_query(&q, &qtype)
-        };
-        (answers, probe.finish(&disk, Default::default()))
+        engine.similarity_query(&q, &qtype)
     };
+    let stats = probe.finish(&disk, Default::default());
 
     println!(
         "{qtype} for O{object_id} via {which} ({} distance):",

@@ -42,6 +42,13 @@ fn generate_info_query_roundtrip() {
     assert!(text.contains("objects     : 800"));
     assert!(text.contains("dimensions  : 64"));
 
+    let answer_lines = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| l.contains("  distance "))
+            .map(str::to_owned)
+            .collect()
+    };
+    let mut scan_answers = Vec::new();
     for index in ["scan", "xtree", "mtree", "vafile"] {
         let q = mq(&[
             "query", db_str, "--object", "7", "--knn", "4", "--index", index,
@@ -53,7 +60,20 @@ fn generate_info_query_roundtrip() {
             "{index}: self not first\n{text}"
         );
         assert!(text.contains("page reads"), "{index}: no cost line");
+        match index {
+            "scan" => scan_answers = answer_lines(&text),
+            "vafile" => assert_eq!(answer_lines(&text), scan_answers, "vafile vs scan"),
+            _ => {}
+        }
     }
+    let approx = mq(&[
+        "query", db_str, "--object", "7", "--knn", "4", "--index", "vafile", "--approx", "bq:800",
+    ]);
+    assert!(
+        approx.status.success(),
+        "vafile + bq failed: {}",
+        String::from_utf8_lossy(&approx.stderr)
+    );
     std::fs::remove_file(&db).ok();
 }
 

@@ -26,7 +26,6 @@
 mod build;
 mod bulk;
 mod frozen;
-pub mod zorder;
 
 pub use frozen::{XTree, XTreeStats};
 

@@ -104,9 +104,10 @@ pub struct ServerConfig {
     /// before a batch fails (see [`mq_core::FaultPolicy`]). Only matters
     /// when the backend's disks have a fault plan installed.
     pub retry_budget: u32,
-    /// Read timeout applied to every client connection; a client that
-    /// stalls mid-frame for longer is disconnected instead of pinning its
-    /// handler thread forever. `None` (the default) blocks indefinitely.
+    /// Idle timeout applied to every client connection: the event loop's
+    /// idle sweep closes a connection that has sent nothing and been sent
+    /// nothing for longer, once no reply to it is in flight. `None` (the
+    /// default) keeps idle connections open indefinitely.
     pub read_timeout: Option<Duration>,
     /// Page-store backend: in-memory simulation (the default) or the
     /// durable file store.

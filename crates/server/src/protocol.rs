@@ -178,11 +178,12 @@ pub enum Message {
         /// Collection filter (empty = aggregate).
         collection: String,
     },
-    /// Ask for the metric registry in Prometheus text exposition (empty
-    /// name = the whole registry; a collection name keeps only series
-    /// labeled with it).
+    /// Ask for the metric registry in Prometheus text exposition. The
+    /// reply is always the whole registry: one registry serves every
+    /// collection, and per-collection series carry a `collection` label.
     MetricsRequest {
-        /// Collection filter (empty = everything).
+        /// Addressed collection; accepted on the wire but not used to
+        /// filter the reply.
         collection: String,
     },
     /// Create a named collection.

@@ -57,7 +57,7 @@ impl QueryBackend for EmptyBackend {
 pub struct Collection {
     name: String,
     scheduler: BatchScheduler,
-    metric: &'static str,
+    metric: VectorMetric,
     objects: u64,
     store_dir: Option<PathBuf>,
     /// Labeled per-collection admitted-query counter (None with a
@@ -82,7 +82,7 @@ impl Collection {
         Self {
             name: name.to_string(),
             scheduler: BatchScheduler::start(backend, config, recorder),
-            metric: metric_static_name(config.metric),
+            metric: config.metric,
             objects,
             store_dir,
             queries,
@@ -121,19 +121,10 @@ impl Collection {
         CollectionInfo {
             name: self.name.clone(),
             dim: self.dimensions() as u32,
-            metric: self.metric.to_string(),
+            metric: self.metric.name().to_string(),
             objects: self.objects,
             in_flight: self.scheduler.in_flight(),
         }
-    }
-}
-
-fn metric_static_name(metric: VectorMetric) -> &'static str {
-    match metric {
-        VectorMetric::Euclidean => "euclidean",
-        VectorMetric::Manhattan => "manhattan",
-        VectorMetric::Cosine => "cosine",
-        VectorMetric::Dot => "dot",
     }
 }
 

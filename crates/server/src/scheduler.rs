@@ -22,7 +22,7 @@ use mq_index::{LinearScan, SimilarityIndex};
 use mq_metric::{Metric, ObjectId, Vector, VectorMetric};
 use mq_obs::{Counter, Histogram, Recorder, DURATION_BOUNDS, SIZE_BOUNDS};
 use mq_parallel::{Declustering, Server, SharedNothingCluster};
-use mq_storage::{Dataset, PageStore, PagedDatabase, SimulatedDisk, VectorCodec};
+use mq_storage::{buffer_pages, Dataset, PageStore, PagedDatabase, SimulatedDisk, VectorCodec};
 use mq_store::{
     FilePageStore, PartitionManifest, SegmentMeta, StoreError, SEGMENT_FILE, SEGMENT_HEADER_LEN,
 };
@@ -727,11 +727,6 @@ fn build_prescreen(
             Arc::new(BqPrescreen::new(Arc::new(sketch), budget))
         }
     }
-}
-
-/// Buffer capacity matching [`SimulatedDisk::new`]'s fraction sizing.
-fn buffer_pages(page_count: usize, fraction: f64) -> usize {
-    ((page_count as f64 * fraction).ceil() as usize).max(1)
 }
 
 /// Opens the durable store in `dir` if a segment exists there, otherwise

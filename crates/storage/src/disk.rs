@@ -4,7 +4,6 @@ use crate::buffer::LruBuffer;
 use crate::database::{PagedDatabase, StorageObject};
 use crate::fault::{page_checksum, DiskError, FaultDecision, FaultPlan, FaultStats};
 use crate::page::{Page, PageId};
-use crate::policy::BufferPolicy;
 use crate::stats::IoStats;
 use mq_obs::{Counter, Recorder};
 use parking_lot::Mutex;
@@ -13,6 +12,25 @@ use std::sync::Arc;
 
 /// The paper's buffer sizing: 10 % of the data pages (§6).
 pub const PAPER_BUFFER_FRACTION: f64 = 0.10;
+
+/// The buffer capacity for a `fraction` of `page_count` pages:
+/// `ceil(page_count × fraction)`, at least one page. Every
+/// fraction-sized buffer — the simulated disk's and the file store's —
+/// is sized by this rule.
+///
+/// # Panics
+/// Panics if `fraction` is outside `[0, 1]`.
+pub fn buffer_pages(page_count: usize, fraction: f64) -> usize {
+    assert!(
+        (0.0..=1.0).contains(&fraction),
+        "buffer fraction must be in [0, 1]"
+    );
+    ((page_count as f64 * fraction).ceil() as usize).max(1)
+}
+
+/// The `policy` label on every `mq_storage_*` buffer series: the buffer
+/// is always the paper's LRU.
+const POLICY_LABEL: &str = "lru";
 
 /// `num / den` as a ratio gauge, `0.0` when nothing was observed yet.
 fn ratio(num: u64, den: u64) -> f64 {
@@ -50,7 +68,7 @@ struct DiskObs {
 
 #[derive(Debug)]
 struct DiskState {
-    buffer: Box<dyn BufferPolicy>,
+    buffer: LruBuffer,
     stats: IoStats,
     /// `Some` once a [`Recorder`] is attached; `None` costs one branch.
     obs: Option<DiskObs>,
@@ -98,27 +116,19 @@ pub struct SimulatedDisk<O> {
 }
 
 impl<O: StorageObject> SimulatedDisk<O> {
-    /// Creates a disk with a buffer of `fraction` of the database's pages
-    /// (at least one page). Use [`PAPER_BUFFER_FRACTION`] for the paper's
-    /// 10 % setting.
+    /// Creates a disk with a buffer of `fraction` of the database's pages,
+    /// sized by [`buffer_pages`]. Use [`PAPER_BUFFER_FRACTION`] for the
+    /// paper's 10 % setting.
+    ///
+    /// # Panics
+    /// Panics if `fraction` is outside `[0, 1]`.
     pub fn new(db: PagedDatabase<O>, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "buffer fraction must be in [0, 1]"
-        );
-        let pages = ((db.page_count() as f64 * fraction).ceil() as usize).max(1);
+        let pages = buffer_pages(db.page_count(), fraction);
         Self::with_buffer_pages(db, pages)
     }
 
     /// Creates a disk with an explicit buffer capacity in pages (minimum 1).
-    pub fn with_buffer_pages(db: PagedDatabase<O>, buffer_pages: usize) -> Self {
-        let capacity = buffer_pages.max(1);
-        Self::with_policy(db, Box::new(LruBuffer::new(capacity)))
-    }
-
-    /// Creates a disk with an explicit page-replacement policy (the paper
-    /// uses LRU; see [`crate::policy`] for CLOCK and FIFO alternatives).
-    pub fn with_policy(db: PagedDatabase<O>, policy: Box<dyn BufferPolicy>) -> Self {
+    pub fn with_buffer_pages(db: PagedDatabase<O>, capacity: usize) -> Self {
         let checksums = db
             .page_ids()
             .map(|pid| {
@@ -132,7 +142,7 @@ impl<O: StorageObject> SimulatedDisk<O> {
             db,
             checksums,
             state: Mutex::new(DiskState {
-                buffer: policy,
+                buffer: LruBuffer::new(capacity.max(1)),
                 stats: IoStats::default(),
                 obs: None,
                 last_physical: None,
@@ -147,8 +157,8 @@ impl<O: StorageObject> SimulatedDisk<O> {
     }
 
     /// Attaches an observability [`Recorder`]: buffer hits/misses (labelled
-    /// with the replacement policy's name), prefetch traffic, and injected
-    /// fault retries are mirrored into the recorder's registry from now on,
+    /// `policy="lru"`), prefetch traffic, and injected fault retries are
+    /// mirrored into the recorder's registry from now on,
     /// alongside — never instead of — the exact [`IoStats`] accounting. A
     /// disabled recorder detaches. Derived gauges
     /// `mq_storage_buffer_hit_ratio` and `mq_storage_prefetch_hit_ratio`
@@ -159,17 +169,16 @@ impl<O: StorageObject> SimulatedDisk<O> {
             st.obs = None;
             return;
         };
-        let policy = st.buffer.name();
-        let labels = [("policy", policy)];
+        let labels = [("policy", POLICY_LABEL)];
         let hits = registry.counter(
             "mq_storage_buffer_reads_total",
             "Buffer lookups by outcome, per replacement policy",
-            &[("policy", policy), ("outcome", "hit")],
+            &[("policy", POLICY_LABEL), ("outcome", "hit")],
         );
         let misses = registry.counter(
             "mq_storage_buffer_reads_total",
             "Buffer lookups by outcome, per replacement policy",
-            &[("policy", policy), ("outcome", "miss")],
+            &[("policy", POLICY_LABEL), ("outcome", "miss")],
         );
         let prefetch_reads = registry.counter(
             "mq_storage_prefetch_reads_total",
@@ -255,7 +264,7 @@ impl<O: StorageObject> SimulatedDisk<O> {
     /// whenever no read is in flight — a nonzero value between steps is a
     /// pin leak.
     pub fn pinned_pages(&self) -> usize {
-        self.state.lock().buffer.pinned()
+        self.state.lock().buffer.pinned_len()
     }
 
     /// The underlying database.
@@ -377,7 +386,7 @@ impl<O: StorageObject> SimulatedDisk<O> {
                 }
             } else {
                 // A staged page is pinned and so cannot miss; this branch
-                // only de-stages defensively if a policy ignored the pin.
+                // only de-stages defensively.
                 if st.prefetched.remove(&id) {
                     st.buffer.unpin(id);
                 }
@@ -639,6 +648,24 @@ mod tests {
     }
 
     #[test]
+    fn buffer_pages_edges() {
+        assert_eq!(
+            buffer_pages(100, 0.0),
+            1,
+            "fraction 0 still buffers one page"
+        );
+        assert_eq!(buffer_pages(0, 0.5), 1);
+        assert_eq!(buffer_pages(100, 1.0), 100, "fraction 1 buffers every page");
+        assert_eq!(buffer_pages(101, 0.1), 11, "rounds up");
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer fraction must be in [0, 1]")]
+    fn buffer_pages_rejects_out_of_range_fraction() {
+        buffer_pages(100, 1.5);
+    }
+
+    #[test]
     fn fraction_sizing() {
         let ds = Dataset::new((0..300).map(|i| Vector::new(vec![i as f32, 0.0])).collect());
         let db = PagedDatabase::pack(&ds, PageLayout::new(72, 16)); // 100 pages
@@ -660,23 +687,6 @@ mod tests {
         // 20: random (skip 8).
         assert_eq!(s.sequential_reads, 3);
         assert_eq!(s.random_reads, 4);
-    }
-
-    #[test]
-    fn custom_policy_is_honored() {
-        use crate::policy::FifoBuffer;
-        let ds = Dataset::new((0..30).map(|i| Vector::new(vec![i as f32, 0.0])).collect());
-        let db = PagedDatabase::pack(&ds, PageLayout::new(72, 16));
-        let d = SimulatedDisk::with_policy(db, Box::new(FifoBuffer::new(2)));
-        assert_eq!(d.buffer_capacity(), 2);
-        d.read_page(PageId(0));
-        d.read_page(PageId(1));
-        d.read_page(PageId(0)); // hit under FIFO
-        d.read_page(PageId(2)); // evicts 0 (oldest) despite the recent hit
-        d.read_page(PageId(0));
-        let s = d.stats();
-        assert_eq!(s.buffer_hits, 1);
-        assert_eq!(s.physical_reads, 4);
     }
 
     #[test]

@@ -35,16 +35,14 @@ pub mod disk;
 pub mod fault;
 pub mod page;
 pub mod persist;
-pub mod policy;
 pub mod stats;
 pub mod store;
 
 pub use buffer::LruBuffer;
 pub use database::{Dataset, PagedDatabase, StorageObject};
-pub use disk::SimulatedDisk;
+pub use disk::{buffer_pages, SimulatedDisk};
 pub use fault::{page_checksum, DiskError, FaultPlan, FaultStats};
 pub use page::{Page, PageId, PageLayout};
 pub use persist::{ObjectCodec, PersistError, SymbolsCodec, VectorCodec};
-pub use policy::{BufferPolicy, ClockBuffer, FifoBuffer};
 pub use stats::{IoCostModel, IoStats};
 pub use store::PageStore;

@@ -1,7 +1,7 @@
 //! The [`PageStore`] abstraction: the read/pin/prefetch surface every
 //! backend serves.
 //!
-//! The query engine, buffer policies, prefetch pipeline, fault injection,
+//! The query engine, LRU buffer, prefetch pipeline, fault injection,
 //! and observability recorders were all written against
 //! [`SimulatedDisk`]'s public surface. This trait extracts exactly that
 //! surface so the same engine code runs unchanged against either the
