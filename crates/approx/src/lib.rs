@@ -26,7 +26,7 @@ pub mod tier;
 
 pub use quantizer::BinaryQuantizer;
 pub use sketch::{BinarySketch, BqPrescreen};
-pub use tier::ApproxTier;
+pub use tier::{build_prescreen, ApproxTier};
 
 /// Conventional file name of the binary-sketch sidecar inside a
 /// partition's store directory.

@@ -1,7 +1,13 @@
 //! Tier selection and its wire/CLI syntax: `bq:<budget>`.
 
+use crate::{BinarySketch, BqPrescreen, DEFAULT_PLANES, SKETCH_FILE};
+use mq_core::CandidatePrescreen;
+use mq_metric::Vector;
+use mq_storage::PagedDatabase;
 use std::fmt;
+use std::path::Path;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// Which approximate candidate tier to run in front of the exact
 /// multi-query re-rank.
@@ -20,6 +26,28 @@ impl ApproxTier {
     pub fn budget(&self) -> usize {
         match *self {
             ApproxTier::Bq { budget } => budget,
+        }
+    }
+}
+
+/// Builds the prescreen of `tier` over `db`'s id space. With a
+/// `sidecar_dir` (file-backed stores) the binary sketch is persisted as
+/// [`SKETCH_FILE`] in that directory and reloaded — checksum-verified —
+/// on later opens; without one it is rebuilt in memory.
+pub fn build_prescreen(
+    tier: ApproxTier,
+    db: &PagedDatabase<Vector>,
+    sidecar_dir: Option<&Path>,
+) -> Arc<dyn CandidatePrescreen<Vector>> {
+    match tier {
+        ApproxTier::Bq { budget } => {
+            let sketch = match sidecar_dir {
+                Some(dir) => {
+                    BinarySketch::load_or_build(&dir.join(SKETCH_FILE), db, DEFAULT_PLANES).0
+                }
+                None => BinarySketch::build(db, DEFAULT_PLANES),
+            };
+            Arc::new(BqPrescreen::new(Arc::new(sketch), budget))
         }
     }
 }

@@ -11,7 +11,7 @@
 //! *selection*, never in evaluation.
 
 use mq_approx::{BinarySketch, BqPrescreen};
-use mq_core::{AvoidanceStats, LeaderPolicy, QueryEngine, QueryType};
+use mq_core::{AvoidanceStats, EngineOptions, LeaderPolicy, QueryEngine, QueryType};
 use mq_datagen::embeddings;
 use mq_index::LinearScan;
 use mq_metric::{Euclidean, Vector};
@@ -59,10 +59,12 @@ fn run(
 ) -> (Vec<Vec<mq_core::Answer>>, AvoidanceStats, IoStats) {
     let disk = SimulatedDisk::with_buffer_pages(db.clone(), 4);
     let scan = LinearScan::new(db.page_count());
-    let mut engine = QueryEngine::new(&disk, &scan, Euclidean)
-        .with_threads(threads)
-        .with_prefetch_depth(prefetch_depth)
-        .with_leader_policy(leader);
+    let mut engine = QueryEngine::new(&disk, &scan, Euclidean).with_options(EngineOptions {
+        threads,
+        prefetch_depth,
+        leader,
+        ..EngineOptions::default()
+    });
     if let Some(p) = prescreen {
         engine = engine.with_prescreen(p);
     }

@@ -9,7 +9,7 @@
 //!   the parallel engine (the §7 future-work knob).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mq_core::{QueryEngine, QueryType};
+use mq_core::{EngineOptions, QueryEngine, QueryType};
 use mq_datagen::image_histograms_config;
 use mq_index::{LinearScan, SimilarityIndex, XTree, XTreeConfig};
 use mq_metric::{Euclidean, Vector};
@@ -120,10 +120,10 @@ fn bench_pivot_cap(c: &mut Criterion) {
     for cap in [Some(2usize), Some(8), None] {
         let label = cap.map_or("unbounded".to_string(), |p| format!("p={p}"));
         group.bench_with_input(BenchmarkId::from_parameter(label), &cap, |b, &cap| {
-            let engine = match cap {
-                Some(p) => QueryEngine::new(&disk, &scan, Euclidean).with_max_pivots(p),
-                None => QueryEngine::new(&disk, &scan, Euclidean),
-            };
+            let engine = QueryEngine::new(&disk, &scan, Euclidean).with_options(EngineOptions {
+                max_pivots: cap,
+                ..EngineOptions::default()
+            });
             b.iter(|| black_box(engine.multiple_similarity_query(queries.clone())))
         });
     }

@@ -2,7 +2,7 @@
 //! ablation — the central measurement of the paper in wall-clock form.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mq_core::{QueryEngine, QueryType};
+use mq_core::{EngineOptions, QueryEngine, QueryType};
 use mq_datagen::{classification_query_ids, image_histograms_config, tycho_like};
 use mq_index::{LinearScan, XTree, XTreeConfig};
 use mq_metric::{Euclidean, Vector};
@@ -53,7 +53,10 @@ fn bench_avoidance_ablation(c: &mut Criterion) {
         b.iter(|| black_box(engine.multiple_similarity_query(queries.clone())))
     });
     group.bench_function("without-avoidance", |b| {
-        let engine = QueryEngine::new(&disk, &scan, Euclidean).without_avoidance();
+        let engine = QueryEngine::new(&disk, &scan, Euclidean).with_options(EngineOptions {
+            avoidance: false,
+            ..EngineOptions::default()
+        });
         b.iter(|| black_box(engine.multiple_similarity_query(queries.clone())))
     });
     group.finish();

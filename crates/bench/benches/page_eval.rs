@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mq_bench::baseline::NaiveEuclidean;
-use mq_core::{QueryEngine, QueryType};
+use mq_core::{EngineOptions, QueryEngine, QueryType};
 use mq_datagen::image_histograms;
 use mq_index::LinearScan;
 use mq_metric::{Euclidean, Metric, Vector};
@@ -25,7 +25,10 @@ fn run_batch<Me: Metric<Vector> + Sync>(
     let db = PagedDatabase::pack(dataset, PageLayout::PAPER);
     let index = LinearScan::new(db.page_count());
     let disk = SimulatedDisk::new(db, 0.10);
-    let engine = QueryEngine::new(&disk, &index, metric).with_threads(threads);
+    let engine = QueryEngine::new(&disk, &index, metric).with_options(EngineOptions {
+        threads,
+        ..EngineOptions::default()
+    });
     let answers = engine.multiple_similarity_query(queries.to_vec());
     answers.iter().map(Vec::len).sum()
 }

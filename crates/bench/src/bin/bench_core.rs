@@ -32,7 +32,7 @@
 
 use mq_bench::baseline::NaiveEuclidean;
 use mq_bench::setup::{env_u64, env_usize};
-use mq_core::{Answer, QueryEngine, QueryType};
+use mq_core::{Answer, EngineOptions, QueryEngine, QueryType};
 use mq_datagen::image_histograms;
 use mq_index::LinearScan;
 use mq_metric::{kernel, Euclidean, Metric, SimdLevel, Vector};
@@ -81,9 +81,11 @@ fn measure<M2: Metric<Vector> + Sync>(
     let disk = SimulatedDisk::new(db, 0.10);
     // One engine for all reps: its persistent worker pool is created once
     // and reused, exactly like a long-lived server backend.
-    let engine = QueryEngine::new(&disk, &index, metric)
-        .with_threads(threads)
-        .with_prefetch_depth(prefetch_depth);
+    let engine = QueryEngine::new(&disk, &index, metric).with_options(EngineOptions {
+        threads,
+        prefetch_depth,
+        ..EngineOptions::default()
+    });
     let mut best = f64::INFINITY;
     let mut answers = Vec::new();
     let mut pairs = 0;

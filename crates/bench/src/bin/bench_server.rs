@@ -125,9 +125,11 @@ fn main() {
     let scan = LinearScan::new(db.page_count());
     let backend = EngineBackend::new(db, Box::new(scan), 0.0, true);
     let recorder = Recorder::enabled();
-    let config = ServerConfig::default()
-        .with_max_batch(8)
-        .with_max_wait(Duration::from_millis(2));
+    let config = ServerConfig {
+        max_batch: 8,
+        max_wait: Duration::from_millis(2),
+        ..ServerConfig::default()
+    };
     let server =
         FrontServer::bind_with_recorder("127.0.0.1:0", Box::new(backend), &config, &recorder)
             .expect("bind loopback server");
@@ -190,10 +192,12 @@ fn main() {
     let overload_scan = LinearScan::new(overload_db.page_count());
     let overload_backend = EngineBackend::new(overload_db, Box::new(overload_scan), 0.0, true);
     let overload_recorder = Recorder::enabled();
-    let overload_config = ServerConfig::default()
-        .with_max_batch(8)
-        .with_max_wait(Duration::from_millis(2))
-        .with_max_queue(overload_queue);
+    let overload_config = ServerConfig {
+        max_batch: 8,
+        max_wait: Duration::from_millis(2),
+        max_queue: overload_queue,
+        ..ServerConfig::default()
+    };
     let overload_server = FrontServer::bind_with_recorder(
         "127.0.0.1:0",
         Box::new(overload_backend),

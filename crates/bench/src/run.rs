@@ -2,7 +2,7 @@
 //! execution statistics.
 
 use crate::setup::Rig;
-use mq_core::{Answer, ExecutionStats, QueryType, StatsProbe};
+use mq_core::{Answer, EngineOptions, ExecutionStats, QueryType, StatsProbe};
 use mq_metric::Vector;
 
 /// The outcome of one measured workload run.
@@ -27,11 +27,10 @@ pub fn run_blocked(
 ) -> MeasuredRun {
     assert!(m > 0, "block size must be positive");
     rig.cold_restart();
-    let engine = if avoidance {
-        rig.engine()
-    } else {
-        rig.engine().without_avoidance()
-    };
+    let engine = rig.engine().with_options(EngineOptions {
+        avoidance,
+        ..EngineOptions::default()
+    });
     let probe = StatsProbe::start(&rig.disk, rig.metric.counter(), Default::default());
     let mut answers = Vec::with_capacity(queries.len());
     let mut avoidance_totals = mq_core::AvoidanceStats::default();

@@ -1,14 +1,16 @@
 //! The CLI subcommands.
 
 use crate::args::Args;
-use mq_approx::{ApproxTier, BinarySketch, BqPrescreen, DEFAULT_PLANES};
-use mq_core::{CandidatePrescreen, CostModel, QueryEngine, QueryType, StatsProbe};
+use mq_approx::{build_prescreen, ApproxTier};
+use mq_core::{CostModel, EngineOptions, QueryEngine, QueryType, StatsProbe};
 use mq_datagen::{
     classification_query_ids, embeddings, image_histograms, tycho_like, uniform_vectors,
 };
 use mq_index::{LinearScan, MTree, MTreeConfig, SimilarityIndex, XTree, XTreeConfig};
 use mq_metric::{CountingMetric, Euclidean, Metric, ObjectId, Vector, VectorMetric};
-use mq_storage::{persist, Dataset, PageStore, PagedDatabase, SimulatedDisk, VectorCodec};
+use mq_storage::{
+    persist, Dataset, PageLayout, PageStore, PagedDatabase, SimulatedDisk, VectorCodec,
+};
 use mq_vafile::VaPageIndex;
 use std::sync::Arc;
 
@@ -88,25 +90,56 @@ fn parse_metric(args: &Args) -> Result<VectorMetric, Box<dyn std::error::Error>>
     })
 }
 
-/// Resolves the index choice for a metric: tree and VA-file page bounds
-/// are Euclidean geometry, so every other metric must run on a sequential
-/// scan. The default flips from `default_index` to `scan` accordingly; an
-/// explicit incompatible `--index` is an error rather than a silent
-/// wrong-answer run.
+/// An access method `--index` can name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum IndexKind {
+    Scan,
+    XTree,
+    MTree,
+    VaFile,
+}
+
+impl IndexKind {
+    fn parse(name: &str) -> Result<Self, Box<dyn std::error::Error>> {
+        match name {
+            "scan" => Ok(IndexKind::Scan),
+            "xtree" => Ok(IndexKind::XTree),
+            "mtree" => Ok(IndexKind::MTree),
+            "vafile" => Ok(IndexKind::VaFile),
+            other => Err(format!("unknown --index '{other}' (scan|xtree|mtree|vafile)").into()),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            IndexKind::Scan => "scan",
+            IndexKind::XTree => "xtree",
+            IndexKind::MTree => "mtree",
+            IndexKind::VaFile => "vafile",
+        }
+    }
+}
+
+/// Parses `--index` and resolves it for a metric: tree and VA-file page
+/// bounds are Euclidean geometry, so every other metric must run on a
+/// sequential scan. The default flips from `default_index` to `scan`
+/// accordingly; an explicit incompatible `--index` is an error rather
+/// than a silent wrong-answer run.
 fn resolve_index_for_metric(
     args: &Args,
     metric: VectorMetric,
-    default_index: &str,
-) -> Result<String, Box<dyn std::error::Error>> {
+    default_index: IndexKind,
+) -> Result<IndexKind, Box<dyn std::error::Error>> {
     if metric == VectorMetric::Euclidean {
-        return Ok(args.string_or("index", default_index));
+        return IndexKind::parse(&args.string_or("index", default_index.name()));
     }
-    let which = args.string_or("index", "scan");
-    if which != "scan" {
+    let which = IndexKind::parse(&args.string_or("index", "scan"))?;
+    if which != IndexKind::Scan {
         return Err(format!(
-            "--metric {} requires --index scan: the {which} index prunes with \
+            "--metric {} requires --index scan: the {} index prunes with \
              Euclidean page bounds",
-            metric.name()
+            metric.name(),
+            which.name()
         )
         .into());
     }
@@ -134,61 +167,41 @@ fn parse_approx(
     Ok(Some(tier))
 }
 
-/// Builds the in-memory prescreen for one tier over `db`'s id space (the
-/// serve path additionally persists binary sketches next to file stores;
-/// the offline commands rebuild per run).
-fn build_prescreen(
-    tier: ApproxTier,
-    db: &PagedDatabase<Vector>,
-) -> Box<dyn CandidatePrescreen<Vector>> {
-    match tier {
-        ApproxTier::Bq { budget } => Box::new(BqPrescreen::new(
-            Arc::new(BinarySketch::build(db, DEFAULT_PLANES)),
-            budget,
-        )),
-    }
-}
-
 /// An access method plus the database laid out for it.
 type IndexedDb = (Box<dyn SimilarityIndex<Vector>>, PagedDatabase<Vector>);
 
-/// Builds the selected access method over a freshly laid-out database.
-fn build_index(
-    db: &PagedDatabase<Vector>,
-    which: &str,
-) -> Result<IndexedDb, Box<dyn std::error::Error>> {
-    let ds = db.to_dataset();
+/// Builds the selected access method over `ds`, laid out in `layout`.
+fn build_index(ds: &Dataset<Vector>, layout: PageLayout, which: IndexKind) -> IndexedDb {
     match which {
-        "scan" => {
-            let db = PagedDatabase::pack(&ds, db.layout());
-            Ok((Box::new(LinearScan::new(db.page_count())), db))
+        IndexKind::Scan => {
+            let db = PagedDatabase::pack(ds, layout);
+            (Box::new(LinearScan::new(db.page_count())), db)
         }
-        "xtree" => {
+        IndexKind::XTree => {
             let (tree, db) = XTree::bulk_load(
-                &ds,
+                ds,
                 XTreeConfig {
-                    layout: db.layout(),
+                    layout,
                     ..Default::default()
                 },
             );
-            Ok((Box::new(tree), db))
+            (Box::new(tree), db)
         }
-        "mtree" => {
+        IndexKind::MTree => {
             let (tree, db) = MTree::insert_load(
-                &ds,
+                ds,
                 Euclidean,
                 MTreeConfig {
-                    layout: db.layout(),
+                    layout,
                     ..Default::default()
                 },
             );
-            Ok((Box::new(tree), db))
+            (Box::new(tree), db)
         }
-        "vafile" => {
-            let db = PagedDatabase::pack(&ds, db.layout());
-            Ok((Box::new(VaPageIndex::build(&db, 6)), db))
+        IndexKind::VaFile => {
+            let db = PagedDatabase::pack(ds, layout);
+            (Box::new(VaPageIndex::build(&db, 6)), db)
         }
-        other => Err(format!("unknown --index '{other}' (scan|xtree|mtree|vafile)").into()),
     }
 }
 
@@ -201,14 +214,14 @@ pub fn query(args: &Args) -> CmdResult {
     }
     let q = stored.object(ObjectId(object_id)).clone();
     let metric_choice = parse_metric(args)?;
-    let which = resolve_index_for_metric(args, metric_choice, "xtree")?;
+    let which = resolve_index_for_metric(args, metric_choice, IndexKind::XTree)?;
     let tier = parse_approx(args, metric_choice)?;
     let dim = q.dim();
     let model = CostModel::paper_1999(dim);
     let metric = CountingMetric::new(metric_choice);
 
-    let (index, db) = build_index(&stored, &which)?;
-    let prescreen = tier.map(|t| build_prescreen(t, &db));
+    let (index, db) = build_index(&stored.to_dataset(), stored.layout(), which);
+    let prescreen = tier.map(|t| build_prescreen(t, &db, None));
     let disk = SimulatedDisk::new(db, 0.10);
     let mut engine = QueryEngine::new(&disk, &*index, metric.clone());
     if let Some(p) = &prescreen {
@@ -237,7 +250,8 @@ pub fn query(args: &Args) -> CmdResult {
     let stats = probe.finish(&disk, Default::default());
 
     println!(
-        "{qtype} for O{object_id} via {which} ({} distance):",
+        "{qtype} for O{object_id} via {} ({} distance):",
+        which.name(),
         metric_choice.name()
     );
     for a in answers.as_slice() {
@@ -259,30 +273,26 @@ pub fn batch(args: &Args) -> CmdResult {
     let n_queries: usize = args.parse_or("queries", 100)?;
     let seed: u64 = args.parse_or("seed", 1)?;
     let metric_choice = parse_metric(args)?;
-    let which = resolve_index_for_metric(args, metric_choice, "scan")?;
+    let which = resolve_index_for_metric(args, metric_choice, IndexKind::Scan)?;
     let tier = parse_approx(args, metric_choice)?;
     let avoidance = !args.has("no-avoidance");
 
-    let (index, db) = build_index(&stored, &which)?;
-    let prescreen = tier.map(|t| build_prescreen(t, &db));
+    let (index, db) = build_index(&stored.to_dataset(), stored.layout(), which);
+    let prescreen = tier.map(|t| build_prescreen(t, &db, None));
     let dim = db.object(ObjectId(0)).dim();
     let model = CostModel::paper_1999(dim);
     let disk = SimulatedDisk::new(db, 0.10);
     let metric = CountingMetric::new(metric_choice);
-    let engine = {
-        let mut e = QueryEngine::new(&disk, &*index, metric.clone());
-        // The tier only hooks into session admission: the singles loop
-        // below stays exact, so the printed comparison is the exact
-        // baseline against the approximate shared-batch run.
-        if let Some(p) = &prescreen {
-            e = e.with_prescreen(&**p);
-        }
-        if avoidance {
-            e
-        } else {
-            e.without_avoidance()
-        }
-    };
+    let mut engine = QueryEngine::new(&disk, &*index, metric.clone()).with_options(EngineOptions {
+        avoidance,
+        ..EngineOptions::default()
+    });
+    // The tier only hooks into session admission: the singles loop below
+    // stays exact, so the printed comparison is the exact baseline against
+    // the approximate shared-batch run.
+    if let Some(p) = &prescreen {
+        engine = engine.with_prescreen(&**p);
+    }
 
     let ids = classification_query_ids(
         stored.object_count(),
@@ -316,7 +326,8 @@ pub fn batch(args: &Args) -> CmdResult {
     let multiple = probe.finish(&disk, Default::default());
 
     println!(
-        "{n_queries} x {qtype} via {which} ({} distance, avoidance {}, approx {}):",
+        "{n_queries} x {qtype} via {} ({} distance, avoidance {}, approx {}):",
+        which.name(),
         metric_choice.name(),
         if avoidance { "on" } else { "off" },
         tier.map_or("off".to_string(), |t| t.to_string()),
@@ -393,7 +404,7 @@ pub fn serve(args: &Args) -> CmdResult {
     let stored = load(args)?;
     let addr = args.string_or("addr", "127.0.0.1:7878");
     let metric = parse_metric(args)?;
-    let which = resolve_index_for_metric(args, metric, "xtree")?;
+    let which = resolve_index_for_metric(args, metric, IndexKind::XTree)?;
     let store = parse_store(args)?;
     let max_wait_ms: u64 = args.parse_or("max-wait-ms", 20)?;
     let servers: usize = args.parse_or("cluster", 0)?;
@@ -416,58 +427,55 @@ pub fn serve(args: &Args) -> CmdResult {
     let quota = parse_quota(args)?;
     let drain_timeout_s: u64 = args.parse_or("drain-timeout-s", 30)?;
 
-    let mut config = ServerConfig::default()
-        .with_max_batch(max_batch)
-        .with_max_wait(std::time::Duration::from_millis(max_wait_ms))
-        .with_avoidance(!args.has("no-avoidance"))
-        .with_threads(threads)
-        .with_prefetch_depth(prefetch_depth)
-        .with_leader(leader)
-        .with_workers(workers)
-        .with_retry_budget(retry_budget)
-        .with_read_timeout((timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)))
-        .with_store(store.clone())
-        .with_metric(metric)
-        .with_max_queue(max_queue)
-        .with_quota(quota)
-        .with_approx(parse_approx(args, metric)?);
-    if servers > 0 {
-        config = config.with_mode(ExecutionMode::Cluster { servers });
-    }
     // The file store serves its recovered page layout as-is, so only
     // indexes that summarize an existing layout qualify: the sequential
     // scan and the VA page index. The tree bulk-loaders would repack —
     // an explicit request for one is an error, while the implicit
     // default (xtree) quietly falls back to the scan.
-    let which = match (&store, which.as_str()) {
-        (StoreChoice::File(_), "scan") => which,
-        (StoreChoice::File(_), "vafile") => {
-            config = config.with_file_index(FileIndex::VaPage);
-            which
-        }
+    let (which, file_index) = match (&store, which) {
+        (StoreChoice::Sim, _) => (which, FileIndex::default()),
+        (StoreChoice::File(_), IndexKind::Scan) => (which, FileIndex::Scan),
+        (StoreChoice::File(_), IndexKind::VaFile) => (which, FileIndex::VaPage),
         (StoreChoice::File(_), other) if args.has("index") => {
             return Err(format!(
-                "--store file:<DIR> serves the recovered page layout; --index {other} \
-                 would repack it (supported: scan, vafile)"
+                "--store file:<DIR> serves the recovered page layout; --index {} \
+                 would repack it (supported: scan, vafile)",
+                other.name()
             )
             .into())
         }
-        (StoreChoice::File(_), _) => "scan".to_string(),
-        _ => which,
+        (StoreChoice::File(_), _) => (IndexKind::Scan, FileIndex::Scan),
+    };
+    let config = ServerConfig {
+        max_batch,
+        max_wait: std::time::Duration::from_millis(max_wait_ms),
+        mode: if servers > 0 {
+            ExecutionMode::Cluster { servers }
+        } else {
+            ExecutionMode::Single
+        },
+        avoidance: !args.has("no-avoidance"),
+        threads,
+        prefetch_depth,
+        leader,
+        workers,
+        retry_budget,
+        read_timeout: (timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)),
+        store: store.clone(),
+        file_index,
+        metric,
+        approx: parse_approx(args, metric)?,
+        max_queue,
+        quota,
     };
 
     let log_interval_s: u64 = args.parse_or("log-interval-s", 60)?;
 
-    // Validate the index name up front so a typo fails fast, not inside
-    // the backend builder.
-    build_index(&stored, &which)?;
     let layout = stored.layout();
-    let which_owned = which.clone();
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
     let backend = build_backend(&stored, &config, 0.10, &recorder, move |ds| {
-        let db = PagedDatabase::pack(ds, layout);
-        build_index(&db, &which_owned).expect("index kind validated before serving")
+        build_index(ds, layout, which)
     })?;
 
     // Latch SIGTERM/Ctrl-C before the listener goes up so a signal at
@@ -477,9 +485,10 @@ pub fn serve(args: &Args) -> CmdResult {
     let server =
         mq_front::FrontServer::bind_with_recorder(addr.as_str(), backend, &config, &recorder)?;
     println!(
-        "mq-server listening on {} ({} objects via {which})",
+        "mq-server listening on {} ({} objects via {})",
         server.local_addr(),
         stored.object_count(),
+        which.name(),
     );
     println!("config: {}", config.describe());
     println!("metrics: scrape with `mq stats {}`", server.local_addr());
@@ -570,10 +579,12 @@ pub fn stats(args: &Args) -> CmdResult {
     let retries: u32 = args.parse_or("retries", 3)?;
     let connect_timeout_ms: u64 = args.parse_or("connect-timeout-ms", 2000)?;
     let timeout_ms: u64 = args.parse_or("timeout-ms", 10_000)?;
-    let config = RetryConfig::default()
-        .with_max_retries(retries)
-        .with_connect_timeout(std::time::Duration::from_millis(connect_timeout_ms.max(1)))
-        .with_read_timeout((timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)));
+    let config = RetryConfig {
+        max_retries: retries,
+        connect_timeout: std::time::Duration::from_millis(connect_timeout_ms.max(1)),
+        read_timeout: (timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)),
+        ..RetryConfig::default()
+    };
     let mut client = RetryingClient::new(addr, config);
     let text = client.metrics()?;
     if text.is_empty() {
@@ -692,10 +703,12 @@ pub fn client(args: &Args) -> CmdResult {
     let connect_timeout_ms: u64 = args.parse_or("connect-timeout-ms", 2000)?;
     // 0 = no read timeout: wait for the reply however long it takes.
     let timeout_ms: u64 = args.parse_or("timeout-ms", 10_000)?;
-    let config = RetryConfig::default()
-        .with_max_retries(retries)
-        .with_connect_timeout(std::time::Duration::from_millis(connect_timeout_ms.max(1)))
-        .with_read_timeout((timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)));
+    let config = RetryConfig {
+        max_retries: retries,
+        connect_timeout: std::time::Duration::from_millis(connect_timeout_ms.max(1)),
+        read_timeout: (timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)),
+        ..RetryConfig::default()
+    };
     let mut client = RetryingClient::new(addr, config);
 
     let collection = args.string_or("collection", "");
@@ -758,10 +771,12 @@ pub fn collection(args: &Args) -> CmdResult {
     let retries: u32 = args.parse_or("retries", 3)?;
     let connect_timeout_ms: u64 = args.parse_or("connect-timeout-ms", 2000)?;
     let timeout_ms: u64 = args.parse_or("timeout-ms", 10_000)?;
-    let config = RetryConfig::default()
-        .with_max_retries(retries)
-        .with_connect_timeout(std::time::Duration::from_millis(connect_timeout_ms.max(1)))
-        .with_read_timeout((timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)));
+    let config = RetryConfig {
+        max_retries: retries,
+        connect_timeout: std::time::Duration::from_millis(connect_timeout_ms.max(1)),
+        read_timeout: (timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)),
+        ..RetryConfig::default()
+    };
     let mut client = RetryingClient::new(addr, config);
 
     match action {

@@ -199,6 +199,14 @@ fn helpful_errors() {
         assert_eq!(err.trim_end().lines().count(), 1, "{args:?}: {err}");
     }
 
+    // An unknown index name is refused before the server binds.
+    let bogus = mq(&["serve", db_str, "--index", "bogus", "--addr", "127.0.0.1:0"]);
+    let err = String::from_utf8_lossy(&bogus.stderr);
+    assert_eq!(bogus.status.code(), Some(1), "{err}");
+    assert!(err.contains("unknown --index 'bogus'"), "{err}");
+    assert_eq!(err.trim_end().lines().count(), 1, "{err}");
+    assert!(!stdout(&bogus).contains("listening"), "{}", stdout(&bogus));
+
     // The approximate tier accepts bq only.
     let hnsw = mq(&[
         "query", db_str, "--object", "1", "--knn", "3", "--approx", "hnsw:64",

@@ -23,12 +23,16 @@ use std::sync::{Arc, OnceLock};
 pub struct EngineOptions {
     /// Whether §5.2 triangle-inequality avoidance is enabled.
     pub avoidance: bool,
-    /// Bound on pivot distances consulted per avoidance attempt
-    /// (`None` = the paper's unbounded behaviour).
+    /// Bound on pivot distances consulted per avoidance attempt. §7 names
+    /// the quadratic-in-m overhead of the triangle-inequality machinery as
+    /// the main scalability limit of large batches; a cap of `p` makes the
+    /// per-object work `O(p)` instead of `O(m)` at the price of fewer
+    /// avoided calculations. `None` is the paper's unbounded behaviour.
     pub max_pivots: Option<usize>,
     /// Worker threads evaluating each loaded page (1 = the classic
-    /// sequential loop). Results are identical for every thread count;
-    /// see [`crate::multiple`] for why.
+    /// sequential loop; 0 is clamped to 1 by
+    /// [`QueryEngine::with_options`]). Results are identical for every
+    /// thread count; see [`crate::multiple`] for why.
     pub threads: usize,
     /// Pages staged ahead of the one being evaluated (0 = no prefetch).
     /// Answers, counters, `logical_reads`, and per-query page sets are
@@ -165,63 +169,11 @@ impl<'a, O: StorageObject, M: Metric<O>> QueryEngine<'a, O, M> {
         self
     }
 
-    /// Replaces the whole option block at once.
+    /// Replaces the whole option block at once, clamping
+    /// [`EngineOptions::threads`] to at least 1.
     pub fn with_options(mut self, options: EngineOptions) -> Self {
         self.options = options;
         self.options.threads = self.options.threads.max(1);
-        self
-    }
-
-    /// Disables §5.2 avoidance — the ablation baseline that still shares
-    /// page reads but computes every distance.
-    pub fn without_avoidance(mut self) -> Self {
-        self.options.avoidance = false;
-        self
-    }
-
-    /// Bounds the number of pivot distances consulted per avoidance
-    /// attempt. §7 names the quadratic-in-m overhead of the triangle-
-    /// inequality machinery as the main scalability limit of large batches;
-    /// capping the pivots makes the per-object work `O(p)` instead of
-    /// `O(m)` at the price of fewer avoided calculations. `None` (default)
-    /// is the paper's unbounded behaviour.
-    pub fn with_max_pivots(mut self, p: usize) -> Self {
-        self.options.max_pivots = Some(p);
-        self
-    }
-
-    /// Evaluates each loaded page with `threads` workers (clamped to at
-    /// least 1). Answers, counters and page reads are identical for every
-    /// thread count — only wall-clock time changes.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads.max(1);
-        self
-    }
-
-    /// Stages up to `depth` pages ahead of the one being evaluated
-    /// (pipelined prefetch; 0 disables it). Answers, counters, logical
-    /// reads and per-query page sets are identical for every depth.
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.options.prefetch_depth = depth;
-        self
-    }
-
-    /// Selects which pending query leads each step; see [`LeaderPolicy`].
-    pub fn with_leader_policy(mut self, leader: LeaderPolicy) -> Self {
-        self.options.leader = leader;
-        self
-    }
-
-    /// Sets the whole fault policy; see [`FaultPolicy`].
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.options.fault_policy = policy;
-        self
-    }
-
-    /// Retries transient disk faults up to `budget` extra times per read
-    /// before a step surfaces an [`EngineError`].
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.options.fault_policy.retry_budget = budget;
         self
     }
 
@@ -595,7 +547,10 @@ mod tests {
         let with =
             QueryEngine::new(&disk, &scan, Euclidean).multiple_similarity_query(queries.clone());
         let without = QueryEngine::new(&disk, &scan, Euclidean)
-            .without_avoidance()
+            .with_options(EngineOptions {
+                avoidance: false,
+                ..EngineOptions::default()
+            })
             .multiple_similarity_query(queries.clone());
         for (a, b) in with.iter().zip(&without) {
             let ia: Vec<ObjectId> = a.iter().map(|x| x.id).collect();
@@ -631,7 +586,10 @@ mod tests {
 
         let counting = CountingMetric::new(Euclidean);
         let counter = counting.counter().clone();
-        let engine = QueryEngine::new(&disk, &scan, counting).without_avoidance();
+        let engine = QueryEngine::new(&disk, &scan, counting).with_options(EngineOptions {
+            avoidance: false,
+            ..EngineOptions::default()
+        });
         counter.reset();
         let mut session = engine.new_session(queries);
         engine.run_to_completion(&mut session);
@@ -662,7 +620,10 @@ mod tests {
         let unbounded_tries = unbounded.avoidance_stats().tries;
         let unbounded_answers = unbounded.into_answers();
 
-        let capped_engine = QueryEngine::new(&disk, &scan, Euclidean).with_max_pivots(2);
+        let capped_engine = QueryEngine::new(&disk, &scan, Euclidean).with_options(EngineOptions {
+            max_pivots: Some(2),
+            ..EngineOptions::default()
+        });
         let mut capped = capped_engine.new_session(queries);
         capped_engine.run_to_completion(&mut capped);
         let capped_tries = capped.avoidance_stats().tries;

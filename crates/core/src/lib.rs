@@ -24,14 +24,10 @@
 //!   that replace distance *calculations* by distance *comparisons*.
 //! * [`stats`] — execution statistics and the combined cost model
 //!   (`C^m = C_io^m + C_cpu^m`, §5) used by the benchmark harness.
-//! * [`batch`] — block processing: `M` queries evaluated in `M/m` blocks of
-//!   `m` simultaneous queries (§5's memory-bounded scheme).
 
 pub mod answers;
 pub mod avoidance;
-pub mod batch;
 pub mod browse;
-pub mod db;
 pub mod engine;
 pub mod fault;
 pub mod multiple;
@@ -45,7 +41,6 @@ pub mod stats;
 pub use answers::{Answer, AnswerList};
 pub use avoidance::{AvoidanceStats, QueryDistanceMatrix};
 pub use browse::DistanceBrowser;
-pub use db::MetricDatabase;
 pub use engine::{EngineOptions, QueryEngine};
 pub use fault::{EngineError, FaultPolicy};
 pub use multiple::{ApproxStats, LeaderPolicy, MultiQuerySession};

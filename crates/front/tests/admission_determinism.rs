@@ -101,13 +101,15 @@ fn rejected_requests_never_touch_the_engine() {
     let recorder = Recorder::enabled();
     // burst 2, negligible refill: exactly two queries from one tenant get
     // through, the rest are rejected before scheduling.
-    let config = ServerConfig::default()
-        .with_max_batch(2)
-        .with_max_wait(Duration::from_millis(5))
-        .with_quota(Some(QuotaConfig {
+    let config = ServerConfig {
+        max_batch: 2,
+        max_wait: Duration::from_millis(5),
+        quota: Some(QuotaConfig {
             rate: 0.0001,
             burst: 2.0,
-        }));
+        }),
+        ..ServerConfig::default()
+    };
     let mut server =
         FrontServer::bind_with_recorder("127.0.0.1:0", backend(&ds), &config, &recorder)
             .expect("bind");
@@ -174,10 +176,12 @@ fn queue_depth_bound_rejects_with_retry_hint_over_the_wire() {
     let ds = dataset(300);
     // max_queue 1 with a long batch window: the first query parks in the
     // batch, the second hits the depth bound.
-    let config = ServerConfig::default()
-        .with_max_batch(8)
-        .with_max_wait(Duration::from_secs(1))
-        .with_max_queue(1);
+    let config = ServerConfig {
+        max_batch: 8,
+        max_wait: Duration::from_secs(1),
+        max_queue: 1,
+        ..ServerConfig::default()
+    };
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
     let addr = server.local_addr();
 

@@ -48,9 +48,11 @@ fn bits(answers: &[mq_core::Answer]) -> Vec<(u32, u64)> {
 #[test]
 fn create_drop_churn_never_perturbs_in_flight_batches() {
     let ds = dataset(500, 1);
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(5));
+    let config = ServerConfig {
+        max_batch: 4,
+        max_wait: Duration::from_millis(5),
+        ..ServerConfig::default()
+    };
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
     let addr = server.local_addr();
 
@@ -134,9 +136,11 @@ fn dropping_a_busy_collection_is_a_typed_refusal_not_a_partial_answer() {
     let ds = dataset(4000, 2);
     // A wide batch window keeps queries in flight long enough for the
     // drop to race them deterministically.
-    let config = ServerConfig::default()
-        .with_max_batch(64)
-        .with_max_wait(Duration::from_millis(400));
+    let config = ServerConfig {
+        max_batch: 64,
+        max_wait: Duration::from_millis(400),
+        ..ServerConfig::default()
+    };
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
     let addr = server.local_addr();
 
@@ -217,9 +221,11 @@ fn collections_are_isolated_per_scheduler() {
     // never mix them, so each stays bit-identical to its own oracle.
     let ds_a = dataset(300, 7);
     let ds_b = dataset(300, 8);
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(20));
+    let config = ServerConfig {
+        max_batch: 4,
+        max_wait: Duration::from_millis(20),
+        ..ServerConfig::default()
+    };
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds_a), &config).expect("bind");
     server
         .registry()

@@ -86,15 +86,21 @@ fn event_frontend_matches_oracle_across_config_matrix() {
     };
 
     let matrix = [
-        ServerConfig::default()
-            .with_max_batch(1)
-            .with_max_wait(Duration::from_millis(1)),
-        ServerConfig::default()
-            .with_max_batch(4)
-            .with_max_wait(Duration::from_millis(20)),
-        ServerConfig::default()
-            .with_max_batch(8)
-            .with_max_wait(Duration::from_millis(5)),
+        ServerConfig {
+            max_batch: 1,
+            max_wait: Duration::from_millis(1),
+            ..ServerConfig::default()
+        },
+        ServerConfig {
+            max_batch: 4,
+            max_wait: Duration::from_millis(20),
+            ..ServerConfig::default()
+        },
+        ServerConfig {
+            max_batch: 8,
+            max_wait: Duration::from_millis(5),
+            ..ServerConfig::default()
+        },
     ];
 
     for config in &matrix {
@@ -135,9 +141,11 @@ fn event_frontend_matches_oracle_across_config_matrix() {
 fn concurrent_clients_on_event_frontend_match_serial_oracle() {
     let ds = dataset(600);
     let qs = queries(&ds, 6);
-    let config = ServerConfig::default()
-        .with_max_batch(qs.len())
-        .with_max_wait(Duration::from_secs(2));
+    let config = ServerConfig {
+        max_batch: qs.len(),
+        max_wait: Duration::from_secs(2),
+        ..ServerConfig::default()
+    };
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
     let addr = server.local_addr();
 
@@ -185,9 +193,11 @@ fn concurrent_clients_on_event_frontend_match_serial_oracle() {
 fn pipelined_requests_on_one_connection_answer_in_order() {
     let ds = dataset(400);
     let qs = queries(&ds, 5);
-    let config = ServerConfig::default()
-        .with_max_batch(qs.len())
-        .with_max_wait(Duration::from_millis(50));
+    let config = ServerConfig {
+        max_batch: qs.len(),
+        max_wait: Duration::from_millis(50),
+        ..ServerConfig::default()
+    };
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
 
     // Write every request before reading any reply: the slot FIFO must
@@ -251,7 +261,10 @@ fn malformed_frame_gets_error_reply_and_close() {
     let mut server = FrontServer::bind(
         "127.0.0.1:0",
         backend(&ds),
-        &ServerConfig::default().with_max_wait(Duration::from_millis(1)),
+        &ServerConfig {
+            max_wait: Duration::from_millis(1),
+            ..ServerConfig::default()
+        },
     )
     .expect("bind");
 
@@ -272,7 +285,10 @@ fn old_protocol_version_gets_typed_mismatch_reply() {
     let mut server = FrontServer::bind(
         "127.0.0.1:0",
         backend(&ds),
-        &ServerConfig::default().with_max_wait(Duration::from_millis(1)),
+        &ServerConfig {
+            max_wait: Duration::from_millis(1),
+            ..ServerConfig::default()
+        },
     )
     .expect("bind");
 
@@ -300,7 +316,10 @@ fn old_protocol_version_gets_typed_mismatch_reply() {
 #[test]
 fn collection_lifecycle_over_event_frontend() {
     let ds = dataset(100);
-    let config = ServerConfig::default().with_max_wait(Duration::from_millis(1));
+    let config = ServerConfig {
+        max_wait: Duration::from_millis(1),
+        ..ServerConfig::default()
+    };
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
@@ -347,12 +366,14 @@ fn quota_rejection_is_typed_overloaded_on_event_frontend() {
     let ds = dataset(100);
     // burst 1, essentially no refill: the second immediate query from the
     // same tenant must be rejected with a typed Overloaded reply.
-    let config = ServerConfig::default()
-        .with_max_wait(Duration::from_millis(1))
-        .with_quota(Some(mq_server::QuotaConfig {
+    let config = ServerConfig {
+        max_wait: Duration::from_millis(1),
+        quota: Some(mq_server::QuotaConfig {
             rate: 0.0001,
             burst: 1.0,
-        }));
+        }),
+        ..ServerConfig::default()
+    };
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
@@ -375,9 +396,11 @@ fn quota_rejection_is_typed_overloaded_on_event_frontend() {
 #[test]
 fn begin_drain_serves_existing_connections_then_drains_clean() {
     let ds = dataset(200);
-    let config = ServerConfig::default()
-        .with_max_batch(2)
-        .with_max_wait(Duration::from_millis(10));
+    let config = ServerConfig {
+        max_batch: 2,
+        max_wait: Duration::from_millis(10),
+        ..ServerConfig::default()
+    };
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
 
     let mut established = Client::connect(server.local_addr()).expect("connect before drain");

@@ -28,10 +28,12 @@ fn backend(ds: &Dataset<Vector>) -> Box<EngineBackend> {
 #[test]
 fn idle_sweep_closes_silent_connections_only() {
     let ds = Dataset::new((0..200).map(|i| Vector::new(vec![i as f32, 0.0])).collect());
-    let config = ServerConfig::default()
-        .with_max_batch(2)
-        .with_max_wait(MAX_WAIT)
-        .with_read_timeout(Some(TIMEOUT));
+    let config = ServerConfig {
+        max_batch: 2,
+        max_wait: MAX_WAIT,
+        read_timeout: Some(TIMEOUT),
+        ..ServerConfig::default()
+    };
     let mut server = FrontServer::bind("127.0.0.1:0", backend(&ds), &config).expect("bind");
 
     let mut silent = TcpStream::connect(server.local_addr()).expect("connect silent");

@@ -58,9 +58,11 @@ fn concurrent_clients_get_serial_answers_with_shared_reads() {
 
     // max_batch = N with a generous deadline: all clients fire at once,
     // so the first flush should carry the whole wave.
-    let config = ServerConfig::default()
-        .with_max_batch(N_CLIENTS)
-        .with_max_wait(Duration::from_secs(2));
+    let config = ServerConfig {
+        max_batch: N_CLIENTS,
+        max_wait: Duration::from_secs(2),
+        ..ServerConfig::default()
+    };
     let mut server =
         FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
     let addr = server.local_addr();
@@ -140,12 +142,15 @@ fn cluster_mode_agrees_with_single_mode() {
         )
     };
 
-    let single_cfg = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(100));
-    let cluster_cfg = single_cfg
-        .clone()
-        .with_mode(ExecutionMode::Cluster { servers: 3 });
+    let single_cfg = ServerConfig {
+        max_batch: 4,
+        max_wait: Duration::from_millis(100),
+        ..ServerConfig::default()
+    };
+    let cluster_cfg = ServerConfig {
+        mode: ExecutionMode::Cluster { servers: 3 },
+        ..single_cfg.clone()
+    };
 
     let single_backend =
         build_backend(&db, &single_cfg, 0.10, &Recorder::disabled(), build_index).expect("backend");
@@ -181,7 +186,10 @@ fn malformed_frame_gets_error_reply() {
     let mut server = FrontServer::bind(
         "127.0.0.1:0",
         Box::new(backend),
-        &ServerConfig::default().with_max_wait(Duration::from_millis(1)),
+        &ServerConfig {
+            max_wait: Duration::from_millis(1),
+            ..ServerConfig::default()
+        },
     )
     .expect("bind");
 
@@ -204,9 +212,11 @@ fn client_dropped_mid_batch_leaks_no_slot_and_others_complete() {
     let scan = LinearScan::new(db.page_count());
     let backend = EngineBackend::new(db, Box::new(scan), 0.10, true);
     // max_batch = 3: one doomed client plus two survivors fill a batch.
-    let config = ServerConfig::default()
-        .with_max_batch(3)
-        .with_max_wait(Duration::from_millis(200));
+    let config = ServerConfig {
+        max_batch: 3,
+        max_wait: Duration::from_millis(200),
+        ..ServerConfig::default()
+    };
     let mut server =
         FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
     let addr = server.local_addr();
@@ -278,7 +288,10 @@ fn dimension_mismatch_is_rejected_and_server_keeps_serving() {
     let mut server = FrontServer::bind(
         "127.0.0.1:0",
         Box::new(backend),
-        &ServerConfig::default().with_max_wait(Duration::from_millis(1)),
+        &ServerConfig {
+            max_wait: Duration::from_millis(1),
+            ..ServerConfig::default()
+        },
     )
     .expect("bind");
 

@@ -104,11 +104,13 @@ fn run_queries(addr: std::net::SocketAddr, db: &PagedDatabase<Vector>, n: usize)
 #[test]
 fn persisted_database_serves_scrapeable_metrics() {
     let db = persisted_db("single", 600);
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(250))
-        .with_threads(2)
-        .with_prefetch_depth(2);
+    let config = ServerConfig {
+        max_batch: 4,
+        max_wait: Duration::from_millis(250),
+        threads: 2,
+        prefetch_depth: 2,
+        ..ServerConfig::default()
+    };
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
     let layout = db.layout();
@@ -200,10 +202,12 @@ fn persisted_database_serves_scrapeable_metrics() {
 #[test]
 fn cluster_mode_scrape_reports_per_partition_counts() {
     let db = persisted_db("cluster", 600);
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(250))
-        .with_mode(ExecutionMode::Cluster { servers: 3 });
+    let config = ServerConfig {
+        max_batch: 4,
+        max_wait: Duration::from_millis(250),
+        mode: ExecutionMode::Cluster { servers: 3 },
+        ..ServerConfig::default()
+    };
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
     let layout = db.layout();
@@ -247,10 +251,12 @@ fn file_store_scrape_reports_store_series() {
     let db = persisted_db("filestore", 400);
     let dir = std::env::temp_dir().join(format!("mq-stats-endpoint-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let config = ServerConfig::default()
-        .with_max_batch(2)
-        .with_max_wait(Duration::from_millis(250))
-        .with_store(StoreChoice::File(dir.clone()));
+    let config = ServerConfig {
+        max_batch: 2,
+        max_wait: Duration::from_millis(250),
+        store: StoreChoice::File(dir.clone()),
+        ..ServerConfig::default()
+    };
     let registry = Arc::new(Registry::new());
     let recorder = Recorder::new(Arc::clone(&registry));
     let layout = db.layout();
@@ -300,9 +306,11 @@ fn file_store_scrape_reports_store_series() {
 #[test]
 fn server_without_recorder_returns_empty_exposition() {
     let db = persisted_db("plain", 200);
-    let config = ServerConfig::default()
-        .with_max_batch(2)
-        .with_max_wait(Duration::from_millis(250));
+    let config = ServerConfig {
+        max_batch: 2,
+        max_wait: Duration::from_millis(250),
+        ..ServerConfig::default()
+    };
     let layout = db.layout();
     let backend = mq_server::build_backend(&db, &config, 0.10, &Recorder::disabled(), move |ds| {
         let db = PagedDatabase::pack(ds, layout);

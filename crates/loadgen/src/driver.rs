@@ -177,11 +177,13 @@ fn is_timeout(e: &ClientError) -> bool {
 }
 
 fn retry_config(opts: &RunOptions, plan_seed: u64, stream: u64) -> RetryConfig {
-    RetryConfig::default()
-        .with_max_retries(opts.max_retries)
-        .with_connect_timeout(opts.connect_timeout)
-        .with_read_timeout(opts.read_timeout)
-        .with_jitter_seed(plan_seed ^ (0xB0B0 + stream))
+    RetryConfig {
+        max_retries: opts.max_retries,
+        connect_timeout: opts.connect_timeout,
+        read_timeout: opts.read_timeout,
+        jitter_seed: plan_seed ^ (0xB0B0 + stream),
+        ..RetryConfig::default()
+    }
 }
 
 /// Replays `plan` against the server at `addr` and reports what the

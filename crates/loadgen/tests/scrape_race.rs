@@ -37,9 +37,11 @@ fn concurrent_scrapes_parse_and_counters_stay_monotonic() {
     let recorder = Recorder::enabled();
     // Small batches with a short deadline: many flushes, so the scraped
     // counters actually move while the run is in flight.
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(2));
+    let config = ServerConfig {
+        max_batch: 4,
+        max_wait: Duration::from_millis(2),
+        ..ServerConfig::default()
+    };
     let server =
         FrontServer::bind_with_recorder("127.0.0.1:0", Box::new(backend), &config, &recorder)
             .expect("bind loopback server");

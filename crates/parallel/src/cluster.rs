@@ -722,9 +722,10 @@ mod tests {
         let healthy = cluster.multiple_query_degraded(&queries);
         assert!(healthy.is_complete());
         // Kill server 1's disk outright: every read is Unavailable.
-        cluster.servers()[1]
-            .disk()
-            .set_fault_plan(Some(FaultPlan::new(42).with_kill_after(0)));
+        cluster.servers()[1].disk().set_fault_plan(Some(FaultPlan {
+            kill_after: Some(0),
+            ..FaultPlan::new(42)
+        }));
         let degraded = cluster.multiple_query_degraded(&queries);
         assert!(!degraded.is_complete());
         assert_eq!(degraded.missing_partitions, vec![1]);
@@ -763,9 +764,10 @@ mod tests {
             0.1,
             scan_builder(),
         );
-        cluster.servers()[0]
-            .disk()
-            .set_fault_plan(Some(FaultPlan::new(7).with_kill_after(0)));
+        cluster.servers()[0].disk().set_fault_plan(Some(FaultPlan {
+            kill_after: Some(0),
+            ..FaultPlan::new(7)
+        }));
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cluster.multiple_query(&queries)
         }));
@@ -796,9 +798,10 @@ mod tests {
         });
         let healthy = cluster.multiple_query_degraded(&queries);
         for server in cluster.servers() {
-            server
-                .disk()
-                .set_fault_plan(Some(FaultPlan::new(99).with_transient(0.3)));
+            server.disk().set_fault_plan(Some(FaultPlan {
+                transient_prob: 0.3,
+                ..FaultPlan::new(99)
+            }));
         }
         let faulty = cluster.multiple_query_degraded(&queries);
         assert!(faulty.is_complete(), "{:?}", faulty.failure_reasons);
@@ -862,9 +865,10 @@ mod tests {
         let performed = snap.value("mq_core_distance_calculations_total{outcome=\"performed\"}");
         assert!(performed > 0.0);
         // Kill one partition and check the failure counter.
-        cluster.servers()[2]
-            .disk()
-            .set_fault_plan(Some(FaultPlan::new(11).with_kill_after(0)));
+        cluster.servers()[2].disk().set_fault_plan(Some(FaultPlan {
+            kill_after: Some(0),
+            ..FaultPlan::new(11)
+        }));
         let degraded = cluster.multiple_query_degraded(&queries);
         assert_eq!(degraded.missing_partitions, vec![2]);
         let snap = registry.snapshot();

@@ -49,7 +49,20 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     /// Builds a controller from the two admission knobs.
+    ///
+    /// # Panics
+    /// Panics if the quota's rate or burst is not positive and finite.
     pub fn new(max_queue: usize, quota: Option<QuotaConfig>) -> Self {
+        if let Some(q) = &quota {
+            assert!(
+                q.rate > 0.0 && q.rate.is_finite(),
+                "quota rate must be positive and finite"
+            );
+            assert!(
+                q.burst > 0.0 && q.burst.is_finite(),
+                "quota burst must be positive and finite"
+            );
+        }
         Self {
             max_queue,
             quota,
@@ -218,6 +231,18 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.iter().any(|ok| *ok), "some admitted");
         assert!(a.iter().any(|ok| !*ok), "some rejected at this rate");
+    }
+
+    #[test]
+    #[should_panic(expected = "quota rate must be positive")]
+    fn non_positive_quota_rejected() {
+        let _ = AdmissionController::new(0, quota(0.0, 4.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "quota burst must be positive and finite")]
+    fn non_finite_quota_rejected() {
+        let _ = AdmissionController::new(0, quota(10.0, f64::INFINITY));
     }
 
     #[test]

@@ -286,39 +286,6 @@ impl Default for RetryConfig {
     }
 }
 
-impl RetryConfig {
-    /// Sets the number of tolerated transport failures per call.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Sets the per-address connect timeout.
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self
-    }
-
-    /// Sets the per-reply read timeout (`None` blocks forever).
-    pub fn with_read_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.read_timeout = timeout;
-        self
-    }
-
-    /// Sets the backoff base and cap.
-    pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self
-    }
-
-    /// Sets the jitter seed (replay a failing schedule exactly).
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-}
-
 /// A fault-tolerant client: on a transport failure (connection refused,
 /// reset, read timeout) it reconnects and resubmits the request, with
 /// bounded exponential backoff and seeded jitter between attempts.
@@ -493,9 +460,12 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_bounded_and_grows() {
-        let config = RetryConfig::default()
-            .with_backoff(Duration::from_millis(10), Duration::from_millis(80))
-            .with_jitter_seed(42);
+        let config = RetryConfig {
+            backoff_base: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(80),
+            jitter_seed: 42,
+            ..RetryConfig::default()
+        };
         let mut a = RetryingClient::new("127.0.0.1:1", config);
         let mut b = RetryingClient::new("127.0.0.1:1", config);
         let delays: Vec<Duration> = (0..6).map(|i| a.backoff_delay(i)).collect();
@@ -508,7 +478,13 @@ mod tests {
             assert!(*d >= exp.mul_f64(0.5) && *d <= exp, "attempt {i}: {d:?}");
         }
         // Different seed, different schedule.
-        let mut c = RetryingClient::new("127.0.0.1:1", config.with_jitter_seed(43));
+        let mut c = RetryingClient::new(
+            "127.0.0.1:1",
+            RetryConfig {
+                jitter_seed: 43,
+                ..config
+            },
+        );
         let other: Vec<Duration> = (0..6).map(|i| c.backoff_delay(i)).collect();
         assert_ne!(delays, other);
     }
@@ -517,10 +493,13 @@ mod tests {
     fn exhausted_budget_surfaces_transport_error() {
         // Nothing listens on a reserved port of the discard range; each
         // attempt fails to connect, and the budget bounds the attempts.
-        let config = RetryConfig::default()
-            .with_max_retries(2)
-            .with_connect_timeout(Duration::from_millis(50))
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(2));
+        let config = RetryConfig {
+            max_retries: 2,
+            connect_timeout: Duration::from_millis(50),
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(2),
+            ..RetryConfig::default()
+        };
         let mut client = RetryingClient::new("127.0.0.1:9", config);
         let err = client.query(&Vector::new(vec![1.0]), &QueryType::knn(1));
         assert!(matches!(

@@ -10,6 +10,9 @@ use std::time::Duration;
 /// Per-tenant token-bucket quota: `rate` tokens per second refill, up to
 /// `burst` held. Every admitted query spends one token; a tenant that
 /// exhausts its bucket gets typed `Overloaded` replies until it refills.
+/// Both values must be positive and finite
+/// ([`AdmissionController::new`](crate::AdmissionController::new) panics
+/// otherwise).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QuotaConfig {
     /// Sustained queries per second per tenant.
@@ -79,7 +82,7 @@ pub enum ExecutionMode {
 /// `max_wait` trades latency of a lone request for the chance of sharing.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Flush as soon as this many requests are queued.
+    /// Flush as soon as this many requests are queued (0 acts as 1).
     pub max_batch: usize,
     /// Flush at latest this long after the first queued request.
     pub max_wait: Duration,
@@ -88,7 +91,8 @@ pub struct ServerConfig {
     /// Whether §5.2 triangle-inequality avoidance is enabled.
     pub avoidance: bool,
     /// Page-evaluation threads per engine (intra-batch parallelism; 1 =
-    /// the classic sequential loop). Identical answers for every value.
+    /// the classic sequential loop, 0 acts as 1). Identical answers for
+    /// every value.
     pub threads: usize,
     /// Pages staged ahead of the one being evaluated (pipelined prefetch;
     /// 0 disables it). Identical answers for every depth.
@@ -98,7 +102,7 @@ pub struct ServerConfig {
     /// Scheduler worker threads executing flushed batches. With 1 worker
     /// (the default) batches execute strictly one after another; more
     /// workers overlap batch execution with batch collection, at the cost
-    /// of batches competing for cores.
+    /// of batches competing for cores. 0 acts as 1.
     pub workers: usize,
     /// Extra read attempts the engines make on a *transient* disk fault
     /// before a batch fails (see [`mq_core::FaultPolicy`]). Only matters
@@ -160,119 +164,6 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Sets the batch-size flush threshold.
-    ///
-    /// # Panics
-    /// Panics if `max_batch` is zero.
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        assert!(max_batch > 0, "max_batch must be positive");
-        self.max_batch = max_batch;
-        self
-    }
-
-    /// Sets the deadline flush threshold.
-    pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
-        self.max_wait = max_wait;
-        self
-    }
-
-    /// Selects the execution mode.
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Enables or disables §5.2 avoidance.
-    pub fn with_avoidance(mut self, avoidance: bool) -> Self {
-        self.avoidance = avoidance;
-        self
-    }
-
-    /// Sets the page-evaluation threads per engine (clamped to ≥ 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the pipelined prefetch depth per engine.
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.prefetch_depth = depth;
-        self
-    }
-
-    /// Selects the leader scheduling policy per engine.
-    pub fn with_leader(mut self, leader: LeaderPolicy) -> Self {
-        self.leader = leader;
-        self
-    }
-
-    /// Sets the scheduler worker-thread count (clamped to ≥ 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the engines' transient-fault retry budget.
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.retry_budget = budget;
-        self
-    }
-
-    /// Sets the per-connection read timeout (`None` blocks forever).
-    pub fn with_read_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.read_timeout = timeout;
-        self
-    }
-
-    /// Selects the page-store backend.
-    pub fn with_store(mut self, store: StoreChoice) -> Self {
-        self.store = store;
-        self
-    }
-
-    /// Selects the access method over a recovered file-store layout.
-    pub fn with_file_index(mut self, file_index: FileIndex) -> Self {
-        self.file_index = file_index;
-        self
-    }
-
-    /// Selects the distance function the engines evaluate.
-    pub fn with_metric(mut self, metric: VectorMetric) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Installs (or clears) the approximate candidate tier.
-    pub fn with_approx(mut self, approx: Option<ApproxTier>) -> Self {
-        self.approx = approx;
-        self
-    }
-
-    /// Bounds each collection's scheduler queue depth (0 = unbounded).
-    pub fn with_max_queue(mut self, max_queue: usize) -> Self {
-        self.max_queue = max_queue;
-        self
-    }
-
-    /// Installs (or clears) the per-tenant token-bucket quota.
-    ///
-    /// # Panics
-    /// Panics if the quota's rate or burst is not positive and finite.
-    pub fn with_quota(mut self, quota: Option<QuotaConfig>) -> Self {
-        if let Some(q) = &quota {
-            assert!(
-                q.rate > 0.0 && q.rate.is_finite(),
-                "quota rate must be positive and finite"
-            );
-            assert!(
-                q.burst > 0.0 && q.burst.is_finite(),
-                "quota burst must be positive and finite"
-            );
-        }
-        self.quota = quota;
-        self
-    }
-
     /// The engine options every partition of the backend runs with.
     pub fn engine_options(&self) -> EngineOptions {
         EngineOptions {
@@ -340,40 +231,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_chains() {
-        let c = ServerConfig::default()
-            .with_max_batch(4)
-            .with_max_wait(Duration::from_millis(5))
-            .with_mode(ExecutionMode::Cluster { servers: 3 })
-            .with_avoidance(false)
-            .with_threads(4)
-            .with_prefetch_depth(2)
-            .with_leader(LeaderPolicy::NearestChain)
-            .with_workers(2)
-            .with_retry_budget(5)
-            .with_read_timeout(Some(Duration::from_secs(3)))
-            .with_store(StoreChoice::File(PathBuf::from("/tmp/mqdb")))
-            .with_metric(VectorMetric::Cosine)
-            .with_approx(Some(ApproxTier::Bq { budget: 500 }))
-            .with_max_queue(64)
-            .with_quota(Some(QuotaConfig {
-                rate: 100.0,
-                burst: 10.0,
-            }));
-        assert_eq!(c.max_batch, 4);
-        assert_eq!(c.max_wait, Duration::from_millis(5));
-        assert_eq!(c.mode, ExecutionMode::Cluster { servers: 3 });
-        assert!(!c.avoidance);
-        assert_eq!(c.threads, 4);
-        assert_eq!(c.prefetch_depth, 2);
-        assert_eq!(c.leader, LeaderPolicy::NearestChain);
-        assert_eq!(c.workers, 2);
-        assert_eq!(c.retry_budget, 5);
-        assert_eq!(c.read_timeout, Some(Duration::from_secs(3)));
-        assert_eq!(c.store, StoreChoice::File(PathBuf::from("/tmp/mqdb")));
-        assert_eq!(c.metric, VectorMetric::Cosine);
-        assert_eq!(c.approx, Some(ApproxTier::Bq { budget: 500 }));
-        assert_eq!(c.max_queue, 64);
+    fn engine_options_follow_the_literal() {
+        let c = ServerConfig {
+            avoidance: false,
+            threads: 4,
+            prefetch_depth: 2,
+            leader: LeaderPolicy::NearestChain,
+            retry_budget: 5,
+            ..ServerConfig::default()
+        };
         assert_eq!(
             c.engine_options(),
             EngineOptions {
@@ -384,13 +250,6 @@ mod tests {
                 leader: LeaderPolicy::NearestChain,
                 fault_policy: FaultPolicy::new(5),
             }
-        );
-        assert_eq!(
-            c.quota,
-            Some(QuotaConfig {
-                rate: 100.0,
-                burst: 10.0
-            })
         );
     }
 
@@ -411,36 +270,16 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_and_workers_clamp_to_one() {
-        let c = ServerConfig::default().with_threads(0).with_workers(0);
-        assert_eq!(c.threads, 1);
-        assert_eq!(c.workers, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "max_batch must be positive")]
-    fn zero_batch_rejected() {
-        let _ = ServerConfig::default().with_max_batch(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "quota rate must be positive")]
-    fn non_positive_quota_rejected() {
-        let _ = ServerConfig::default().with_quota(Some(QuotaConfig {
-            rate: 0.0,
-            burst: 4.0,
-        }));
-    }
-
-    #[test]
     fn describe_names_every_knob() {
-        let line = ServerConfig::default()
-            .with_mode(ExecutionMode::Cluster { servers: 3 })
-            .with_threads(4)
-            .with_workers(2)
-            .with_prefetch_depth(2)
-            .with_retry_budget(5)
-            .describe();
+        let line = ServerConfig {
+            mode: ExecutionMode::Cluster { servers: 3 },
+            threads: 4,
+            workers: 2,
+            prefetch_depth: 2,
+            retry_budget: 5,
+            ..ServerConfig::default()
+        }
+        .describe();
         assert!(!line.contains('\n'));
         for needle in [
             "mode=cluster(3)",
@@ -461,22 +300,28 @@ mod tests {
         ] {
             assert!(line.contains(needle), "missing {needle} in {line}");
         }
-        let admission_line = ServerConfig::default()
-            .with_max_queue(32)
-            .with_quota(Some(QuotaConfig {
+        let admission_line = ServerConfig {
+            max_queue: 32,
+            quota: Some(QuotaConfig {
                 rate: 200.0,
                 burst: 16.0,
-            }))
-            .describe();
+            }),
+            ..ServerConfig::default()
+        }
+        .describe();
         assert!(admission_line.contains("max_queue=32"), "{admission_line}");
         assert!(admission_line.contains("quota=200:16"), "{admission_line}");
-        let file_line = ServerConfig::default()
-            .with_store(StoreChoice::File(PathBuf::from("/data/mq")))
-            .describe();
+        let file_line = ServerConfig {
+            store: StoreChoice::File(PathBuf::from("/data/mq")),
+            ..ServerConfig::default()
+        }
+        .describe();
         assert!(file_line.contains("store=file:/data/mq"), "{file_line}");
-        let approx_line = ServerConfig::default()
-            .with_approx(Some(ApproxTier::Bq { budget: 64 }))
-            .describe();
+        let approx_line = ServerConfig {
+            approx: Some(ApproxTier::Bq { budget: 64 }),
+            ..ServerConfig::default()
+        }
+        .describe();
         assert!(approx_line.contains("approx=bq:64"), "{approx_line}");
     }
 
@@ -484,10 +329,12 @@ mod tests {
     fn file_index_defaults_to_scan_and_describes() {
         let c = ServerConfig::default();
         assert_eq!(c.file_index, FileIndex::Scan);
-        let line = ServerConfig::default()
-            .with_store(StoreChoice::File(PathBuf::from("/data/mq")))
-            .with_file_index(FileIndex::VaPage)
-            .describe();
+        let line = ServerConfig {
+            store: StoreChoice::File(PathBuf::from("/data/mq")),
+            file_index: FileIndex::VaPage,
+            ..ServerConfig::default()
+        }
+        .describe();
         assert!(line.contains("file_index=vafile"), "{line}");
         assert_eq!(FileIndex::VaPage.name(), "vafile");
         assert_eq!(FileIndex::Scan.name(), "scan");

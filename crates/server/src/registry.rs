@@ -533,7 +533,10 @@ mod tests {
 
     #[test]
     fn cluster_mode_refuses_collection_management() {
-        let config = ServerConfig::default().with_mode(ExecutionMode::Cluster { servers: 2 });
+        let config = ServerConfig {
+            mode: ExecutionMode::Cluster { servers: 2 },
+            ..ServerConfig::default()
+        };
         let r = CollectionRegistry::new(
             Box::new(EmptyBackend { dims: 3 }),
             &config,

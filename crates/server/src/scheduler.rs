@@ -14,10 +14,8 @@
 use crate::config::{ExecutionMode, FileIndex, ServerConfig, StoreChoice};
 use crate::protocol::ServiceMetrics;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
-use mq_approx::{ApproxTier, BinarySketch, BqPrescreen, DEFAULT_PLANES, SKETCH_FILE};
-use mq_core::{
-    Answer, CandidatePrescreen, EngineOptions, ExecutionStats, FaultPolicy, LeaderPolicy, QueryType,
-};
+use mq_approx::{build_prescreen, ApproxTier};
+use mq_core::{Answer, EngineOptions, ExecutionStats, FaultPolicy, LeaderPolicy, QueryType};
 use mq_index::{LinearScan, SimilarityIndex};
 use mq_metric::{Metric, ObjectId, Vector, VectorMetric};
 use mq_obs::{Counter, Histogram, Recorder, DURATION_BOUNDS, SIZE_BOUNDS};
@@ -707,28 +705,6 @@ fn file_store_index(
     }
 }
 
-/// Builds one approximate-tier prescreen over `db`'s id space. With a
-/// `sidecar_dir` (file-backed stores) the binary sketch is persisted as
-/// `sketch.mqbq` next to the partition's page files and reloaded —
-/// checksum-verified — on later opens.
-fn build_prescreen(
-    tier: ApproxTier,
-    db: &PagedDatabase<Vector>,
-    sidecar_dir: Option<&Path>,
-) -> Arc<dyn CandidatePrescreen<Vector>> {
-    match tier {
-        ApproxTier::Bq { budget } => {
-            let sketch = match sidecar_dir {
-                Some(dir) => {
-                    BinarySketch::load_or_build(&dir.join(SKETCH_FILE), db, DEFAULT_PLANES).0
-                }
-                None => BinarySketch::build(db, DEFAULT_PLANES),
-            };
-            Arc::new(BqPrescreen::new(Arc::new(sketch), budget))
-        }
-    }
-}
-
 /// Opens the durable store in `dir` if a segment exists there, otherwise
 /// creates one seeded with `db`'s pages (layout preserved as packed —
 /// never repacked, so the segment stays valid for any later access).
@@ -769,10 +745,9 @@ fn partition_dir(dir: &Path, p: usize) -> PathBuf {
 ///
 /// When `dir/part-0/` already holds a segment, every existing partition is
 /// reopened (their count wins over `servers` so a recovered cluster keeps
-/// its declustering). Otherwise `db` is declustered round-robin — object
-/// `i` to partition `i % servers` — exactly like
-/// [`Declustering::RoundRobin`], so answers stay bit-identical to the
-/// simulated cluster.
+/// its declustering). Otherwise `db` is declustered with
+/// [`Declustering::RoundRobin`], the simulated cluster's rule, so answers
+/// stay bit-identical to it.
 ///
 /// Each partition directory carries a [`PartitionManifest`] recording the
 /// partition count, its index, and the **explicit** local→global id
@@ -842,17 +817,9 @@ fn open_or_create_partition_stores(
         }
     } else {
         let ds = db.to_dataset();
-        for p in 0..servers {
-            let local: Vec<Vector> = ds
-                .objects()
-                .iter()
-                .skip(p)
-                .step_by(servers)
-                .cloned()
-                .collect();
-            let global_ids: Vec<ObjectId> = (0..local.len())
-                .map(|j| ObjectId((j * servers + p) as u32))
-                .collect();
+        let parts = Declustering::RoundRobin.partition(ds.len(), servers);
+        for (p, global_ids) in parts.into_iter().enumerate() {
+            let local: Vec<Vector> = global_ids.iter().map(|&id| ds.object(id).clone()).collect();
             let part_db = PagedDatabase::pack(&Dataset::new(local), db.layout());
             let pages = buffer_pages(part_db.page_count(), buffer_fraction);
             let store = FilePageStore::create(part_dir(p), part_db, VectorCodec, pages)?;
@@ -894,9 +861,11 @@ mod tests {
 
     #[test]
     fn replies_match_submissions() {
-        let config = ServerConfig::default()
-            .with_max_batch(4)
-            .with_max_wait(Duration::from_millis(5));
+        let config = ServerConfig {
+            max_batch: 4,
+            max_wait: Duration::from_millis(5),
+            ..ServerConfig::default()
+        };
         let scheduler = BatchScheduler::start(scan_backend(100), &config, &Recorder::disabled());
         let rxs: Vec<_> = (0..8)
             .map(|i| scheduler.submit(Vector::new(vec![i as f32 * 10.0]), QueryType::knn(1)))
@@ -915,9 +884,11 @@ mod tests {
 
     #[test]
     fn in_flight_counts_down_to_zero() {
-        let config = ServerConfig::default()
-            .with_max_batch(4)
-            .with_max_wait(Duration::from_millis(2));
+        let config = ServerConfig {
+            max_batch: 4,
+            max_wait: Duration::from_millis(2),
+            ..ServerConfig::default()
+        };
         let scheduler = BatchScheduler::start(scan_backend(100), &config, &Recorder::disabled());
         assert_eq!(scheduler.in_flight(), 0);
         let rxs: Vec<_> = (0..6)
@@ -937,9 +908,11 @@ mod tests {
 
     #[test]
     fn deadline_flushes_partial_batch() {
-        let config = ServerConfig::default()
-            .with_max_batch(1000)
-            .with_max_wait(Duration::from_millis(10));
+        let config = ServerConfig {
+            max_batch: 1000,
+            max_wait: Duration::from_millis(10),
+            ..ServerConfig::default()
+        };
         let scheduler = BatchScheduler::start(scan_backend(50), &config, &Recorder::disabled());
         let rx = scheduler.submit(Vector::new(vec![7.0]), QueryType::knn(2));
         let reply = rx
@@ -951,9 +924,11 @@ mod tests {
 
     #[test]
     fn full_batch_flushes_before_deadline() {
-        let config = ServerConfig::default()
-            .with_max_batch(3)
-            .with_max_wait(Duration::from_secs(3600));
+        let config = ServerConfig {
+            max_batch: 3,
+            max_wait: Duration::from_secs(3600),
+            ..ServerConfig::default()
+        };
         let scheduler = BatchScheduler::start(scan_backend(50), &config, &Recorder::disabled());
         let rxs: Vec<_> = (0..3)
             .map(|i| scheduler.submit(Vector::new(vec![i as f32]), QueryType::knn(1)))
@@ -969,10 +944,12 @@ mod tests {
 
     #[test]
     fn worker_pool_serves_every_client() {
-        let config = ServerConfig::default()
-            .with_max_batch(1)
-            .with_max_wait(Duration::from_millis(1))
-            .with_workers(3);
+        let config = ServerConfig {
+            max_batch: 1,
+            max_wait: Duration::from_millis(1),
+            workers: 3,
+            ..ServerConfig::default()
+        };
         let scheduler = BatchScheduler::start(scan_backend(100), &config, &Recorder::disabled());
         let rxs: Vec<_> = (0..12)
             .map(|i| scheduler.submit(Vector::new(vec![i as f32 * 5.0]), QueryType::knn(1)))
@@ -990,6 +967,43 @@ mod tests {
         let m = scheduler.metrics();
         assert_eq!(m.queries, 12);
         assert_eq!(m.batches, 12);
+    }
+
+    #[test]
+    fn zero_batch_workers_and_threads_clamp_to_one() {
+        // A literal may carry zeros no setter checks; the scheduler and
+        // the engines clamp each to 1 where it is consumed, and answers
+        // stay exact.
+        let config = ServerConfig {
+            max_batch: 0,
+            max_wait: Duration::from_millis(1),
+            workers: 0,
+            threads: 0,
+            ..ServerConfig::default()
+        };
+        let backend = build_backend(&line_db(100), &config, 0.10, &Recorder::disabled(), |ds| {
+            let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
+            (
+                Box::new(LinearScan::new(db.page_count())) as Box<dyn SimilarityIndex<Vector>>,
+                db,
+            )
+        })
+        .expect("sim backend builds");
+        let scheduler = BatchScheduler::start(backend, &config, &Recorder::disabled());
+        let rxs: Vec<_> = (0..6)
+            .map(|i| scheduler.submit(Vector::new(vec![i as f32 * 10.0 + 0.2]), QueryType::knn(2)))
+            .collect();
+        for (i, rx) in rxs.into_iter().enumerate() {
+            let reply = rx.recv_timeout(Duration::from_secs(5)).expect("reply");
+            assert_eq!(
+                reply.batch_size, 1,
+                "max_batch 0 flushes one query at a time"
+            );
+            let ids: Vec<u32> = reply.answers.iter().map(|a| a.id.0).collect();
+            let i = i as u32;
+            assert_eq!(ids, vec![i * 10, i * 10 + 1], "query {i}");
+        }
+        assert_eq!(scheduler.metrics().batches, 6);
     }
 
     #[test]
@@ -1067,10 +1081,12 @@ mod tests {
                 got_stats.elapsed = Duration::ZERO;
                 assert_eq!(got_stats, want_stats, "{label}");
 
-                let config = ServerConfig::default()
-                    .with_mode(ExecutionMode::Cluster { servers: 3 })
-                    .with_avoidance(avoidance)
-                    .with_threads(threads);
+                let config = ServerConfig {
+                    mode: ExecutionMode::Cluster { servers: 3 },
+                    avoidance,
+                    threads,
+                    ..ServerConfig::default()
+                };
                 let cluster =
                     build_backend(&line_db(120), &config, 0.10, &Recorder::disabled(), |ds| {
                         let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
@@ -1112,9 +1128,11 @@ mod tests {
 
     #[test]
     fn worker_survives_backend_panic() {
-        let config = ServerConfig::default()
-            .with_max_batch(1)
-            .with_max_wait(Duration::from_millis(1));
+        let config = ServerConfig {
+            max_batch: 1,
+            max_wait: Duration::from_millis(1),
+            ..ServerConfig::default()
+        };
         let backend = Box::new(FussyBackend {
             inner: scan_backend(30),
         });
@@ -1165,9 +1183,11 @@ mod tests {
             (ExecutionMode::Single, "single"),
             (ExecutionMode::Cluster { servers: 3 }, "cluster"),
         ] {
-            let config = ServerConfig::default()
-                .with_mode(mode)
-                .with_store(StoreChoice::File(dir.join(sub)));
+            let config = ServerConfig {
+                mode,
+                store: StoreChoice::File(dir.join(sub)),
+                ..ServerConfig::default()
+            };
             // First build creates the store, second reopens it from disk.
             for round in ["create", "reopen"] {
                 let backend = build_backend(&db, &config, 0.10, &Recorder::disabled(), build)
@@ -1201,10 +1221,10 @@ mod tests {
                 db,
             )
         };
-        let cluster_config = |dir: &std::path::Path| {
-            ServerConfig::default()
-                .with_mode(ExecutionMode::Cluster { servers: 3 })
-                .with_store(StoreChoice::File(dir.to_path_buf()))
+        let cluster_config = |dir: &std::path::Path| ServerConfig {
+            mode: ExecutionMode::Cluster { servers: 3 },
+            store: StoreChoice::File(dir.to_path_buf()),
+            ..ServerConfig::default()
         };
 
         // An offline insert against a single partition desynchronizes the
@@ -1253,7 +1273,10 @@ mod tests {
             build_backend(&db, &config, 0.10, &Recorder::disabled(), build)
                 .expect("create cluster"),
         );
-        let single = ServerConfig::default().with_store(StoreChoice::File(dir.join("part-0")));
+        let single = ServerConfig {
+            store: StoreChoice::File(dir.join("part-0")),
+            ..ServerConfig::default()
+        };
         match build_backend(&db, &single, 0.10, &Recorder::disabled(), build) {
             Err(StoreError::Format(msg)) => assert!(msg.contains("--cluster 3"), "{msg}"),
             Err(e) => panic!("unexpected error: {e}"),
@@ -1269,7 +1292,10 @@ mod tests {
         // 0..60 line is the *largest* vector, not the nearest one — so a
         // Euclidean engine would answer id 5 and give the game away.
         let db = line_db(60);
-        let config = ServerConfig::default().with_metric(VectorMetric::Dot);
+        let config = ServerConfig {
+            metric: VectorMetric::Dot,
+            ..ServerConfig::default()
+        };
         let backend = build_backend(&db, &config, 0.10, &Recorder::disabled(), |ds| {
             let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
             (
@@ -1333,10 +1359,12 @@ mod tests {
                 "cluster/file",
             ),
         ] {
-            let config = ServerConfig::default()
-                .with_mode(mode)
-                .with_store(store)
-                .with_approx(Some(tier));
+            let config = ServerConfig {
+                mode,
+                store,
+                approx: Some(tier),
+                ..ServerConfig::default()
+            };
             let backend = build_backend(&db, &config, 0.10, &Recorder::disabled(), build)
                 .expect("approx backend builds");
             assert!(
@@ -1353,11 +1381,14 @@ mod tests {
         }
         // The file-backed bq runs persisted their sketches next to the
         // page files (single at the root, cluster per partition).
-        assert!(dir.join("single-bq:120").join(super::SKETCH_FILE).exists());
+        assert!(dir
+            .join("single-bq:120")
+            .join(mq_approx::SKETCH_FILE)
+            .exists());
         assert!(dir
             .join("cluster-bq:120")
             .join("part-0")
-            .join(super::SKETCH_FILE)
+            .join(mq_approx::SKETCH_FILE)
             .exists());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1367,7 +1398,10 @@ mod tests {
         // budget 1 admits ~1 candidate per query; the answers must be
         // drawn from that candidate set and the distances stay exact.
         let db = line_db(120);
-        let config = ServerConfig::default().with_approx(Some(ApproxTier::Bq { budget: 1 }));
+        let config = ServerConfig {
+            approx: Some(ApproxTier::Bq { budget: 1 }),
+            ..ServerConfig::default()
+        };
         let backend = build_backend(&db, &config, 0.10, &Recorder::disabled(), |ds| {
             let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
             (
@@ -1422,10 +1456,12 @@ mod tests {
             (ExecutionMode::Single, "single"),
             (ExecutionMode::Cluster { servers: 3 }, "cluster"),
         ] {
-            let config = ServerConfig::default()
-                .with_mode(mode)
-                .with_store(StoreChoice::File(dir.join(sub)))
-                .with_file_index(FileIndex::VaPage);
+            let config = ServerConfig {
+                mode,
+                store: StoreChoice::File(dir.join(sub)),
+                file_index: FileIndex::VaPage,
+                ..ServerConfig::default()
+            };
             // Create, then reopen: the VA summary is rebuilt over the
             // recovered layout both times.
             for round in ["create", "reopen"] {
@@ -1440,10 +1476,12 @@ mod tests {
             }
         }
 
-        let config = ServerConfig::default()
-            .with_store(StoreChoice::File(dir.join("guard")))
-            .with_file_index(FileIndex::VaPage)
-            .with_metric(VectorMetric::Dot);
+        let config = ServerConfig {
+            store: StoreChoice::File(dir.join("guard")),
+            file_index: FileIndex::VaPage,
+            metric: VectorMetric::Dot,
+            ..ServerConfig::default()
+        };
         match build_backend(&db, &config, 0.10, &Recorder::disabled(), build) {
             Err(StoreError::Format(msg)) => assert!(msg.contains("Euclidean"), "{msg}"),
             Err(e) => panic!("unexpected error: {e}"),
@@ -1455,9 +1493,11 @@ mod tests {
     #[test]
     fn approx_refuses_non_euclidean_metrics() {
         let db = line_db(30);
-        let config = ServerConfig::default()
-            .with_metric(VectorMetric::Cosine)
-            .with_approx(Some(ApproxTier::Bq { budget: 10 }));
+        let config = ServerConfig {
+            metric: VectorMetric::Cosine,
+            approx: Some(ApproxTier::Bq { budget: 10 }),
+            ..ServerConfig::default()
+        };
         match build_backend(&db, &config, 0.10, &Recorder::disabled(), |ds| {
             let db = PagedDatabase::pack(ds, PageLayout::new(256, 16));
             (
@@ -1473,7 +1513,10 @@ mod tests {
 
     #[test]
     fn shutdown_disconnects_pending_reply_channels() {
-        let config = ServerConfig::default().with_max_batch(2);
+        let config = ServerConfig {
+            max_batch: 2,
+            ..ServerConfig::default()
+        };
         let scheduler = BatchScheduler::start(scan_backend(20), &config, &Recorder::disabled());
         let m0 = scheduler.metrics();
         assert_eq!(m0.queries, 0);

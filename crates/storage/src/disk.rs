@@ -771,11 +771,11 @@ mod tests {
     #[test]
     fn failed_attempts_leave_io_stats_untouched() {
         let d = disk(30, 4);
-        d.set_fault_plan(Some(
-            crate::FaultPlan::new(11)
-                .with_transient(1.0)
-                .with_max_faults_per_page(2),
-        ));
+        d.set_fault_plan(Some(crate::FaultPlan {
+            transient_prob: 1.0,
+            max_faults_per_page: 2,
+            ..crate::FaultPlan::new(11)
+        }));
         // Two injected failures, then success.
         assert!(d.try_read_page(PageId(0)).is_err());
         assert_eq!(
@@ -796,12 +796,12 @@ mod tests {
     fn retried_run_matches_fault_free_stats() {
         let faulty = disk(30, 4);
         let clean = disk(30, 4);
-        faulty.set_fault_plan(Some(
-            crate::FaultPlan::new(77)
-                .with_transient(0.4)
-                .with_corrupt(0.2)
-                .with_max_faults_per_page(3),
-        ));
+        faulty.set_fault_plan(Some(crate::FaultPlan {
+            transient_prob: 0.4,
+            corrupt_prob: 0.2,
+            max_faults_per_page: 3,
+            ..crate::FaultPlan::new(77)
+        }));
         for &i in &[0u32, 3, 1, 3, 9, 2, 1, 0, 5, 9] {
             // Retry until the per-page fault cap lets the read through.
             loop {
@@ -818,7 +818,10 @@ mod tests {
     fn buffer_hits_never_fault() {
         let d = disk(30, 4);
         d.read_page(PageId(0)); // now resident
-        d.set_fault_plan(Some(crate::FaultPlan::new(5).with_transient(1.0)));
+        d.set_fault_plan(Some(crate::FaultPlan {
+            transient_prob: 1.0,
+            ..crate::FaultPlan::new(5)
+        }));
         assert!(d.try_read_page(PageId(0)).is_ok(), "hits read from memory");
         assert!(
             d.try_read_page(PageId(1)).is_err(),
@@ -829,11 +832,11 @@ mod tests {
     #[test]
     fn corrupt_page_reports_checksum_mismatch() {
         let d = disk(30, 4);
-        d.set_fault_plan(Some(
-            crate::FaultPlan::new(5)
-                .with_corrupt(1.0)
-                .with_max_faults_per_page(1),
-        ));
+        d.set_fault_plan(Some(crate::FaultPlan {
+            corrupt_prob: 1.0,
+            max_faults_per_page: 1,
+            ..crate::FaultPlan::new(5)
+        }));
         match d.try_read_page(PageId(2)) {
             Err(crate::DiskError::CorruptPage {
                 page,
@@ -856,7 +859,10 @@ mod tests {
     #[test]
     fn killed_disk_refuses_everything_including_hits() {
         let d = disk(30, 4);
-        d.set_fault_plan(Some(crate::FaultPlan::new(1).with_kill_after(2)));
+        d.set_fault_plan(Some(crate::FaultPlan {
+            kill_after: Some(2),
+            ..crate::FaultPlan::new(1)
+        }));
         d.read_page(PageId(0));
         d.read_page(PageId(1)); // second successful physical read: disk dies
         let err = d.try_read_page(PageId(0)).unwrap_err();
@@ -874,11 +880,11 @@ mod tests {
     #[test]
     fn failed_prefetch_leaves_page_unstaged() {
         let d = disk(30, 4);
-        d.set_fault_plan(Some(
-            crate::FaultPlan::new(11)
-                .with_transient(1.0)
-                .with_max_faults_per_page(1),
-        ));
+        d.set_fault_plan(Some(crate::FaultPlan {
+            transient_prob: 1.0,
+            max_faults_per_page: 1,
+            ..crate::FaultPlan::new(11)
+        }));
         assert!(d.try_prefetch(PageId(4)).is_err());
         let s = d.stats();
         assert_eq!(s.prefetch_reads, 0);
@@ -949,11 +955,11 @@ mod tests {
         let d = disk(30, 4);
         let recorder = Recorder::enabled();
         d.attach_recorder(&recorder);
-        d.set_fault_plan(Some(
-            crate::FaultPlan::new(11)
-                .with_transient(1.0)
-                .with_max_faults_per_page(2),
-        ));
+        d.set_fault_plan(Some(crate::FaultPlan {
+            transient_prob: 1.0,
+            max_faults_per_page: 2,
+            ..crate::FaultPlan::new(11)
+        }));
         assert!(d.try_read_page(PageId(0)).is_err());
         assert!(d.try_read_page(PageId(0)).is_err());
         assert!(d.try_read_page(PageId(0)).is_ok());
@@ -978,9 +984,11 @@ mod tests {
     #[test]
     fn set_fault_plan_resets_bookkeeping() {
         let d = disk(30, 4);
-        let plan = crate::FaultPlan::new(3)
-            .with_transient(1.0)
-            .with_max_faults_per_page(1);
+        let plan = crate::FaultPlan {
+            transient_prob: 1.0,
+            max_faults_per_page: 1,
+            ..crate::FaultPlan::new(3)
+        };
         d.set_fault_plan(Some(plan));
         assert!(d.try_read_page(PageId(0)).is_err());
         assert_eq!(d.fault_stats().transient_errors, 1);

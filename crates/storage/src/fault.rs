@@ -63,8 +63,9 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan with the given seed and no faults enabled; chain the
-    /// `with_*` builders to arm specific fault classes.
+    /// A plan with the given seed and no faults enabled; arm specific
+    /// fault classes with struct-update syntax, e.g.
+    /// `FaultPlan { transient_prob: 0.1, ..FaultPlan::new(seed) }`.
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
@@ -74,36 +75,6 @@ impl FaultPlan {
             max_faults_per_page: 2,
             kill_after: None,
         }
-    }
-
-    /// Set the transient read-error probability.
-    pub fn with_transient(mut self, prob: f64) -> Self {
-        self.transient_prob = prob;
-        self
-    }
-
-    /// Set the torn-page (checksum mismatch) probability.
-    pub fn with_corrupt(mut self, prob: f64) -> Self {
-        self.corrupt_prob = prob;
-        self
-    }
-
-    /// Set the latency-spike probability.
-    pub fn with_latency(mut self, prob: f64) -> Self {
-        self.latency_prob = prob;
-        self
-    }
-
-    /// Set the per-page injected-fault cap.
-    pub fn with_max_faults_per_page(mut self, cap: u32) -> Self {
-        self.max_faults_per_page = cap;
-        self
-    }
-
-    /// Kill the disk after `n` successful physical reads.
-    pub fn with_kill_after(mut self, n: u64) -> Self {
-        self.kill_after = Some(n);
-        self
     }
 
     fn roll(&self, page: PageId, attempt: u32, channel: u64) -> f64 {
@@ -280,7 +251,11 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic() {
-        let plan = FaultPlan::new(42).with_transient(0.3).with_corrupt(0.2);
+        let plan = FaultPlan {
+            transient_prob: 0.3,
+            corrupt_prob: 0.2,
+            ..FaultPlan::new(42)
+        };
         for page in 0..50 {
             for attempt in 0..4 {
                 assert_eq!(
@@ -294,8 +269,14 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_schedules() {
-        let a = FaultPlan::new(1).with_transient(0.5);
-        let b = FaultPlan::new(2).with_transient(0.5);
+        let a = FaultPlan {
+            transient_prob: 0.5,
+            ..FaultPlan::new(1)
+        };
+        let b = FaultPlan {
+            transient_prob: 0.5,
+            ..FaultPlan::new(2)
+        };
         let fa: Vec<_> = (0..200).map(|i| a.decide(p(i), 0)).collect();
         let fb: Vec<_> = (0..200).map(|i| b.decide(p(i), 0)).collect();
         assert_ne!(fa, fb);
@@ -303,9 +284,11 @@ mod tests {
 
     #[test]
     fn fault_cap_guarantees_eventual_success() {
-        let plan = FaultPlan::new(7)
-            .with_transient(1.0)
-            .with_max_faults_per_page(3);
+        let plan = FaultPlan {
+            transient_prob: 1.0,
+            max_faults_per_page: 3,
+            ..FaultPlan::new(7)
+        };
         assert_eq!(plan.decide(p(5), 0), FaultDecision::Transient);
         assert_eq!(plan.decide(p(5), 2), FaultDecision::Transient);
         assert_eq!(
@@ -329,7 +312,10 @@ mod tests {
 
     #[test]
     fn probabilities_hit_roughly_expected_rates() {
-        let plan = FaultPlan::new(1234).with_transient(0.25);
+        let plan = FaultPlan {
+            transient_prob: 0.25,
+            ..FaultPlan::new(1234)
+        };
         let faults = (0..4000)
             .filter(|&i| plan.decide(p(i), 0) == FaultDecision::Transient)
             .count();
@@ -339,7 +325,10 @@ mod tests {
 
     #[test]
     fn corruption_noise_is_nonzero() {
-        let plan = FaultPlan::new(3).with_corrupt(1.0);
+        let plan = FaultPlan {
+            corrupt_prob: 1.0,
+            ..FaultPlan::new(3)
+        };
         for page in 0..100 {
             assert_ne!(plan.corruption_noise(p(page), 0), 0);
         }

@@ -214,11 +214,11 @@ mod tests {
     #[test]
     fn trait_object_faults_like_the_concrete_disk() {
         let boxed: Box<dyn PageStore<Vector>> = Box::new(disk(30));
-        boxed.set_fault_plan(Some(
-            FaultPlan::new(11)
-                .with_transient(1.0)
-                .with_max_faults_per_page(1),
-        ));
+        boxed.set_fault_plan(Some(FaultPlan {
+            transient_prob: 1.0,
+            max_faults_per_page: 1,
+            ..FaultPlan::new(11)
+        }));
         assert!(boxed.try_read_page(PageId(0)).is_err());
         assert!(boxed.try_read_page(PageId(0)).is_ok());
         assert_eq!(boxed.fault_stats().transient_errors, 1);

@@ -452,9 +452,11 @@ fn fault_plans_inject_identically_through_the_file_backend() {
     let dir = temp_dir("faults");
     let store = FilePageStore::create(&dir, db(40), VectorCodec, 4).expect("create");
     let sim = SimulatedDisk::with_buffer_pages(db(40), 4);
-    let plan = mq_storage::FaultPlan::new(77)
-        .with_transient(0.5)
-        .with_max_faults_per_page(1);
+    let plan = mq_storage::FaultPlan {
+        transient_prob: 0.5,
+        max_faults_per_page: 1,
+        ..mq_storage::FaultPlan::new(77)
+    };
     store.set_fault_plan(Some(plan));
     sim.set_fault_plan(Some(plan));
     for i in 0..store.database().page_count() as u32 {

@@ -46,4 +46,4 @@ pub mod scenario;
 pub mod sim;
 
 pub use proxy::{ConnFault, FlakyProxy};
-pub use sim::{config_matrix, LengthBudgetPrescreen, Sim, SimConfig, SimReport};
+pub use sim::{config_matrix, LengthBudgetPrescreen, Sim, SimReport};

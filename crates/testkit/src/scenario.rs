@@ -11,18 +11,23 @@ use mq_storage::FaultPlan;
 /// bounded retry budget always gets through. The workhorse preset for
 /// oracle-equivalence runs.
 pub fn disk_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed)
-        .with_transient(0.08)
-        .with_corrupt(0.04)
-        .with_latency(0.05)
-        .with_max_faults_per_page(2)
+    FaultPlan {
+        transient_prob: 0.08,
+        corrupt_prob: 0.04,
+        latency_prob: 0.05,
+        max_faults_per_page: 2,
+        ..FaultPlan::new(seed)
+    }
 }
 
 /// Latency spikes only: reads always succeed, some just count as slow.
 /// Answers and every I/O counter must match the oracle exactly even with
 /// a zero retry budget.
 pub fn latency_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed).with_latency(0.3)
+    FaultPlan {
+        latency_prob: 0.3,
+        ..FaultPlan::new(seed)
+    }
 }
 
 /// Device loss: the disk dies permanently after `after` successful
@@ -31,7 +36,10 @@ pub fn latency_plan(seed: u64) -> FaultPlan {
 /// from this; it must surface as a typed error or an explicitly degraded
 /// result.
 pub fn loss_plan(seed: u64, after: u64) -> FaultPlan {
-    FaultPlan::new(seed).with_kill_after(after)
+    FaultPlan {
+        kill_after: Some(after),
+        ..FaultPlan::new(seed)
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! faulty run and its oracle see byte-identical inputs.
 
 use mq_core::{
-    Answer, AvoidanceStats, CandidatePrescreen, FaultPolicy, LeaderPolicy, QueryEngine, QueryType,
+    Answer, AvoidanceStats, CandidatePrescreen, EngineOptions, FaultPolicy, LeaderPolicy,
+    QueryEngine, QueryType,
 };
 use mq_datagen::sessions::{web_sessions, SessionConfig};
 use mq_index::LinearScan;
@@ -18,28 +19,24 @@ use mq_storage::{
 use mq_store::{FilePageStore, SEGMENT_FILE};
 use std::path::Path;
 
-/// One engine configuration of the equivalence matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SimConfig {
-    /// Page-evaluation threads.
-    pub threads: usize,
-    /// Pipelined prefetch depth.
-    pub prefetch_depth: usize,
-    /// Leader scheduling policy.
-    pub leader: LeaderPolicy,
-}
+/// Stored session objects in every simulated workload.
+const OBJECTS: usize = 160;
+/// Queries in every simulated batch.
+const QUERIES: usize = 8;
 
 /// The full configuration matrix the acceptance criteria quantify over:
-/// threads {1, 2, 4} × prefetch depths {0, 2} × both leader schedulers.
-pub fn config_matrix() -> Vec<SimConfig> {
+/// threads {1, 2, 4} × prefetch depths {0, 2} × both leader schedulers,
+/// every other option at its default.
+pub fn config_matrix() -> Vec<EngineOptions> {
     let mut configs = Vec::new();
     for &threads in &[1usize, 2, 4] {
         for &prefetch_depth in &[0usize, 2] {
             for &leader in &[LeaderPolicy::Fifo, LeaderPolicy::NearestChain] {
-                configs.push(SimConfig {
+                configs.push(EngineOptions {
                     threads,
                     prefetch_depth,
                     leader,
+                    ..EngineOptions::default()
                 });
             }
         }
@@ -114,27 +111,22 @@ impl CandidatePrescreen<Symbols> for LengthBudgetPrescreen {
 }
 
 /// A deterministic simulation: seed-derived workload, optional fault
-/// plan, engine retry budget, optional approximate candidate tier.
+/// plan, optional approximate candidate tier. The engine's options —
+/// including its retry budget ([`EngineOptions::fault_policy`]) — are
+/// passed to each run.
 #[derive(Clone, Copy, Debug)]
 pub struct Sim {
     seed: u64,
-    objects: usize,
-    queries: usize,
     plan: Option<FaultPlan>,
-    retry_budget: u32,
     prescreen_budget: Option<usize>,
 }
 
 impl Sim {
-    /// A simulation of `seed` with the default workload size (160
-    /// sessions, 8 queries) and no faults.
+    /// A simulation of `seed` (160 sessions, 8 queries) with no faults.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            objects: 160,
-            queries: 8,
             plan: None,
-            retry_budget: 0,
             prescreen_budget: None,
         }
     }
@@ -158,24 +150,6 @@ impl Sim {
         self
     }
 
-    /// Sets the engine's transient-fault retry budget.
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.retry_budget = budget;
-        self
-    }
-
-    /// Sets the number of stored session objects.
-    pub fn with_objects(mut self, objects: usize) -> Self {
-        self.objects = objects;
-        self
-    }
-
-    /// Sets the number of queries in the batch.
-    pub fn with_queries(mut self, queries: usize) -> Self {
-        self.queries = queries;
-        self
-    }
-
     /// The seed of this simulation.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -184,12 +158,11 @@ impl Sim {
     /// The seed-derived workload: the stored sessions and a mixed
     /// k-NN/range query batch drawn from them.
     pub fn workload(&self) -> (Vec<Symbols>, Vec<(Symbols, QueryType)>) {
-        let (sessions, _trails) = web_sessions(self.objects, SessionConfig::default(), self.seed);
-        let stride = (self.objects / self.queries.max(1)).max(1);
+        let (sessions, _trails) = web_sessions(OBJECTS, SessionConfig::default(), self.seed);
         let queries = sessions
             .iter()
-            .step_by(stride)
-            .take(self.queries)
+            .step_by(OBJECTS / QUERIES)
+            .take(QUERIES)
             .enumerate()
             .map(|(i, s)| {
                 // Alternate query types so every run exercises both the
@@ -212,11 +185,11 @@ impl Sim {
         PagedDatabase::pack(&Dataset::new(sessions), PageLayout::new(256, 8))
     }
 
-    /// Runs the simulation under `config` on the in-memory backend,
-    /// faults included.
-    pub fn run(&self, config: SimConfig) -> SimReport {
+    /// Runs the simulation with engine `options` on the in-memory
+    /// backend, faults included.
+    pub fn run(&self, options: EngineOptions) -> SimReport {
         let disk = SimulatedDisk::with_buffer_pages(self.database(), 4);
-        self.run_on(config, &disk)
+        self.run_on(options, &disk)
     }
 
     /// [`run`](Self::run) against the durable file backend: a
@@ -224,8 +197,8 @@ impl Sim {
     /// and recovered from segment + WAL afterwards. The report must be
     /// bit-identical to the in-memory backend's
     /// ([`assert_backend_equivalence`](Self::assert_backend_equivalence)).
-    pub fn run_file(&self, config: SimConfig, dir: &Path) -> SimReport {
-        self.run_on(config, &self.open_or_create_store(dir))
+    pub fn run_file(&self, options: EngineOptions, dir: &Path) -> SimReport {
+        self.run_on(options, &self.open_or_create_store(dir))
     }
 
     /// Opens the durable store in `dir`, creating it from the workload
@@ -241,18 +214,14 @@ impl Sim {
     }
 
     /// Runs the workload's query batch against an already-built backend.
-    fn run_on(&self, config: SimConfig, disk: &dyn PageStore<Symbols>) -> SimReport {
+    fn run_on(&self, options: EngineOptions, disk: &dyn PageStore<Symbols>) -> SimReport {
         let (_, queries) = self.workload();
         let scan = LinearScan::new(disk.database().page_count());
         let prescreen = self
             .prescreen_budget
             .map(|budget| LengthBudgetPrescreen::new(disk.database(), budget));
         disk.set_fault_plan(self.plan);
-        let mut engine = QueryEngine::new(disk, &scan, EditDistance)
-            .with_threads(config.threads)
-            .with_prefetch_depth(config.prefetch_depth)
-            .with_leader_policy(config.leader)
-            .with_fault_policy(FaultPolicy::new(self.retry_budget));
+        let mut engine = QueryEngine::new(disk, &scan, EditDistance).with_options(options);
         if let Some(prescreen) = &prescreen {
             engine = engine.with_prescreen(prescreen);
         }
@@ -276,17 +245,18 @@ impl Sim {
         }
     }
 
-    /// Runs the fault-free oracle of this simulation under `config`.
-    pub fn oracle(&self, config: SimConfig) -> SimReport {
+    /// Runs the fault-free oracle of this simulation with `options`.
+    pub fn oracle(&self, options: EngineOptions) -> SimReport {
         Sim {
             plan: None,
             ..*self
         }
-        .run(config)
+        .run(options)
     }
 
     /// Asserts the testkit's central invariant over the whole
-    /// [`config_matrix`]: whenever the faulty run succeeds, its answers
+    /// [`config_matrix`], each configuration running with `fault_policy`:
+    /// whenever the faulty run succeeds, its answers
     /// and avoidance counters are bit-identical to the oracle's. Without
     /// prefetch the full I/O counters must match too (failed attempts
     /// leave no trace); with prefetch only `logical_reads` is required to
@@ -294,8 +264,12 @@ impl Sim {
     /// prefetched hit into a demand read.
     ///
     /// Panics name the seed and configuration, which reproduce the run.
-    pub fn assert_oracle_equivalence(&self) {
+    pub fn assert_oracle_equivalence(&self, fault_policy: FaultPolicy) {
         for config in config_matrix() {
+            let config = EngineOptions {
+                fault_policy,
+                ..config
+            };
             let run = self.run(config);
             let oracle = self.oracle(config);
             assert!(
@@ -340,14 +314,19 @@ impl Sim {
     }
 
     /// Asserts the durable backend's half of the central invariant over
-    /// the whole [`config_matrix`]: the file-backed store in `dir` must
+    /// the whole [`config_matrix`], each configuration running with
+    /// `fault_policy`: the file-backed store in `dir` must
     /// produce a **fully** bit-identical [`SimReport`] — answers,
     /// avoidance counters, every I/O counter, every fault counter — for
     /// every configuration, faults included. (Unlike faulty-vs-oracle
     /// comparisons, the two backends see the same fault plan, so nothing
     /// is exempted.)
-    pub fn assert_backend_equivalence(&self, dir: &Path) {
+    pub fn assert_backend_equivalence(&self, dir: &Path, fault_policy: FaultPolicy) {
         for config in config_matrix() {
+            let config = EngineOptions {
+                fault_policy,
+                ..config
+            };
             let mem = self.run(config);
             let file = self.run_file(config, dir);
             assert_eq!(
@@ -412,11 +391,7 @@ mod tests {
 
     #[test]
     fn fault_free_run_completes_every_query() {
-        let report = Sim::new(11).run(SimConfig {
-            threads: 1,
-            prefetch_depth: 0,
-            leader: LeaderPolicy::Fifo,
-        });
+        let report = Sim::new(11).run(EngineOptions::default());
         assert!(report.gave_up.is_none());
         assert!(report.completed.iter().all(|&c| c));
         assert_eq!(report.answers.len(), 8);

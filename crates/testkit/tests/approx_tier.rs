@@ -11,7 +11,8 @@
 //!    disk faults: a faulty prescreened run that succeeds matches the
 //!    fault-free prescreened oracle exactly.
 
-use mq_testkit::{config_matrix, scenario, Sim, SimConfig};
+use mq_core::{EngineOptions, FaultPolicy};
+use mq_testkit::{config_matrix, scenario, Sim};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -64,11 +65,7 @@ fn narrow_budget_actually_restricts_the_run() {
     // strictly fewer distance calculations than the exact engine (the
     // whole point of the tier). Answers may lose recall but never gain
     // objects the exact run didn't report.
-    let config = SimConfig {
-        threads: 1,
-        prefetch_depth: 0,
-        leader: mq_core::LeaderPolicy::Fifo,
-    };
+    let config = EngineOptions::default();
     for &seed in &SEEDS {
         let e = Sim::new(seed).run(config);
         let t = Sim::new(seed).with_prescreen_budget(8).run(config);
@@ -109,8 +106,7 @@ fn lossy_tier_under_disk_faults_matches_its_oracle() {
         Sim::new(seed)
             .with_prescreen_budget(48)
             .with_plan(scenario::disk_plan(seed))
-            .with_retry_budget(4)
-            .assert_oracle_equivalence();
+            .assert_oracle_equivalence(FaultPolicy::new(4));
     }
 }
 
@@ -120,7 +116,7 @@ fn lossy_tier_under_latency_spikes_matches_its_oracle() {
         Sim::new(seed)
             .with_prescreen_budget(48)
             .with_plan(scenario::latency_plan(seed))
-            .assert_oracle_equivalence();
+            .assert_oracle_equivalence(FaultPolicy::default());
     }
 }
 
@@ -132,7 +128,6 @@ fn file_backend_with_tier_stays_report_identical() {
     Sim::new(21)
         .with_prescreen_budget(48)
         .with_plan(scenario::disk_plan(21))
-        .with_retry_budget(3)
-        .assert_backend_equivalence(&dir);
+        .assert_backend_equivalence(&dir, FaultPolicy::new(3));
     std::fs::remove_dir_all(&dir).ok();
 }

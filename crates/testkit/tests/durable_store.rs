@@ -11,6 +11,7 @@
 //!    to exactly the state a clean store reaches by applying the same
 //!    first N operations — verified object-by-object and answer-by-answer.
 
+use mq_core::FaultPolicy;
 use mq_metric::{ObjectId, Symbols};
 use mq_storage::PageStore;
 use mq_store::{FilePageStore, SEGMENT_FILE, WAL_FILE};
@@ -33,7 +34,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn file_backend_is_report_identical_without_faults() {
     let dir = temp_dir("clean");
-    Sim::new(21).assert_backend_equivalence(&dir);
+    Sim::new(21).assert_backend_equivalence(&dir, FaultPolicy::default());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -42,8 +43,7 @@ fn file_backend_injects_disk_faults_identically() {
     let dir = temp_dir("faulty");
     Sim::new(22)
         .with_plan(scenario::disk_plan(22))
-        .with_retry_budget(3)
-        .assert_backend_equivalence(&dir);
+        .assert_backend_equivalence(&dir, FaultPolicy::new(3));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -52,7 +52,7 @@ fn file_backend_injects_latency_faults_identically() {
     let dir = temp_dir("latency");
     Sim::new(23)
         .with_plan(scenario::latency_plan(23))
-        .assert_backend_equivalence(&dir);
+        .assert_backend_equivalence(&dir, FaultPolicy::default());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -23,9 +23,11 @@ fn serve() -> FrontServer {
     let db = PagedDatabase::pack(&ds, PageLayout::new(512, 16));
     let scan = LinearScan::new(db.page_count());
     let backend = EngineBackend::new(db, Box::new(scan), 0.0, true);
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(2));
+    let config = ServerConfig {
+        max_batch: 4,
+        max_wait: Duration::from_millis(2),
+        ..ServerConfig::default()
+    };
     FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind server")
 }
 

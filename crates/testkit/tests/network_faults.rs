@@ -28,19 +28,23 @@ fn start_server() -> FrontServer {
         0.10,
         true,
     ));
-    let config = ServerConfig::default()
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(2));
+    let config = ServerConfig {
+        max_batch: 4,
+        max_wait: Duration::from_millis(2),
+        ..ServerConfig::default()
+    };
     FrontServer::bind("127.0.0.1:0", backend, &config).expect("bind server")
 }
 
 fn retry_config() -> RetryConfig {
-    RetryConfig::default()
-        .with_max_retries(3)
-        .with_connect_timeout(Duration::from_millis(500))
-        .with_read_timeout(Some(Duration::from_secs(2)))
-        .with_backoff(Duration::from_millis(2), Duration::from_millis(10))
-        .with_jitter_seed(7)
+    RetryConfig {
+        max_retries: 3,
+        connect_timeout: Duration::from_millis(500),
+        read_timeout: Some(Duration::from_secs(2)),
+        backoff_base: Duration::from_millis(2),
+        backoff_cap: Duration::from_millis(10),
+        jitter_seed: 7,
+    }
 }
 
 #[test]
@@ -100,11 +104,14 @@ fn read_timeout_bounds_a_stalled_server() {
             held.push(stream);
         }
     });
-    let config = RetryConfig::default()
-        .with_max_retries(1)
-        .with_connect_timeout(Duration::from_millis(500))
-        .with_read_timeout(Some(Duration::from_millis(150)))
-        .with_backoff(Duration::from_millis(1), Duration::from_millis(2));
+    let config = RetryConfig {
+        max_retries: 1,
+        connect_timeout: Duration::from_millis(500),
+        read_timeout: Some(Duration::from_millis(150)),
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(2),
+        ..RetryConfig::default()
+    };
     let mut client = RetryingClient::new(addr.to_string(), config);
     let started = Instant::now();
     let err = client.query(&Vector::new(vec![1.0]), &QueryType::knn(1));

@@ -5,6 +5,7 @@
 //! Every assertion prints the seed; rerunning the same seed replays the
 //! exact fault pattern.
 
+use mq_core::{EngineOptions, FaultPolicy};
 use mq_testkit::{config_matrix, scenario, Sim};
 
 /// The CI seed set: small Fibonacci numbers, nothing magical — any seed
@@ -16,8 +17,7 @@ fn lossy_disk_runs_match_the_oracle_when_they_succeed() {
     for &seed in &SEEDS {
         Sim::new(seed)
             .with_plan(scenario::disk_plan(seed))
-            .with_retry_budget(4)
-            .assert_oracle_equivalence();
+            .assert_oracle_equivalence(FaultPolicy::new(4));
     }
 }
 
@@ -28,10 +28,12 @@ fn lossy_disk_faults_actually_fire() {
     // absorbed by the budget.
     let mut total_faults = 0u64;
     for &seed in &SEEDS {
-        let sim = Sim::new(seed)
-            .with_plan(scenario::disk_plan(seed))
-            .with_retry_budget(4);
+        let sim = Sim::new(seed).with_plan(scenario::disk_plan(seed));
         for config in config_matrix() {
+            let config = EngineOptions {
+                fault_policy: FaultPolicy::new(4),
+                ..config
+            };
             let report = sim.run(config);
             assert!(
                 report.gave_up.is_none(),
@@ -55,7 +57,7 @@ fn latency_spikes_change_no_counter_at_all() {
     // show up only in FaultStats.
     for &seed in &SEEDS {
         let sim = Sim::new(seed).with_plan(scenario::latency_plan(seed));
-        sim.assert_oracle_equivalence();
+        sim.assert_oracle_equivalence(FaultPolicy::default());
         for config in config_matrix() {
             let report = sim.run(config);
             let oracle = sim.oracle(config);
@@ -106,10 +108,12 @@ fn zero_budget_either_succeeds_identically_or_fails_typed() {
 #[test]
 fn killed_disk_surfaces_unavailable_and_preserves_completed_queries() {
     for &seed in &SEEDS {
-        let sim = Sim::new(seed)
-            .with_plan(scenario::loss_plan(seed, 6))
-            .with_retry_budget(8);
+        let sim = Sim::new(seed).with_plan(scenario::loss_plan(seed, 6));
         for config in config_matrix() {
+            let config = EngineOptions {
+                fault_policy: FaultPolicy::new(8),
+                ..config
+            };
             let report = sim.run(config);
             let oracle = sim.oracle(config);
             let reason = report.gave_up.as_deref().unwrap_or_else(|| {

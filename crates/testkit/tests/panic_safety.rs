@@ -8,7 +8,7 @@
 //! was fully pinned and every eviction overflowed. The step now holds
 //! RAII guards; these tests pin the contract.
 
-use mq_core::{LeaderPolicy, QueryEngine, QueryType};
+use mq_core::{EngineOptions, LeaderPolicy, QueryEngine, QueryType};
 use mq_datagen::uniform_vectors;
 use mq_index::LinearScan;
 use mq_metric::{Euclidean, Metric, Vector};
@@ -58,6 +58,12 @@ fn queries() -> Vec<(Vector, QueryType)> {
 fn panicking_metric_leaks_no_pins_and_engine_recovers() {
     for threads in [1usize, 2] {
         for depth in [0usize, 2] {
+            let options = EngineOptions {
+                threads,
+                prefetch_depth: depth,
+                leader: LeaderPolicy::Fifo,
+                ..EngineOptions::default()
+            };
             let db = build_db();
             let scan = LinearScan::new(db.page_count());
             let disk = SimulatedDisk::with_buffer_pages(db, 4);
@@ -69,18 +75,14 @@ fn panicking_metric_leaks_no_pins_and_engine_recovers() {
                     fuse: Arc::clone(&fuse),
                 },
             )
-            .with_threads(threads)
-            .with_prefetch_depth(depth)
-            .with_leader_policy(LeaderPolicy::Fifo);
+            .with_options(options);
 
             // Oracle on an identical fresh setup with a plain metric.
             let oracle_db = build_db();
             let oracle_scan = LinearScan::new(oracle_db.page_count());
             let oracle_disk = SimulatedDisk::with_buffer_pages(oracle_db, 4);
-            let oracle_engine = QueryEngine::new(&oracle_disk, &oracle_scan, Euclidean)
-                .with_threads(threads)
-                .with_prefetch_depth(depth)
-                .with_leader_policy(LeaderPolicy::Fifo);
+            let oracle_engine =
+                QueryEngine::new(&oracle_disk, &oracle_scan, Euclidean).with_options(options);
             let mut oracle_session = oracle_engine.new_session(queries());
             oracle_engine.run_to_completion(&mut oracle_session);
             let oracle_answers = oracle_session.into_answers();
@@ -140,8 +142,11 @@ fn repeated_detonations_never_exhaust_the_buffer() {
             fuse: Arc::clone(&fuse),
         },
     )
-    .with_threads(2)
-    .with_prefetch_depth(2);
+    .with_options(EngineOptions {
+        threads: 2,
+        prefetch_depth: 2,
+        ..EngineOptions::default()
+    });
     for round in 0..6 {
         // Admission (the query-distance matrix) must not detonate; only
         // page evaluation inside step() should.

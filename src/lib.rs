@@ -68,8 +68,8 @@ pub use mq_vafile as vafile;
 /// The most common imports in one place.
 pub mod prelude {
     pub use mq_core::{
-        Answer, AnswerList, CostModel, ExecutionStats, MetricDatabase, MultiQuerySession,
-        QueryEngine, QueryKind, QueryType, StatsProbe,
+        Answer, AnswerList, CostModel, ExecutionStats, MultiQuerySession, QueryEngine, QueryKind,
+        QueryType, StatsProbe,
     };
     pub use mq_front::FrontServer;
     pub use mq_index::{LinearScan, MTree, MTreeConfig, SimilarityIndex, XTree, XTreeConfig};

@@ -1,6 +1,7 @@
 //! Property-based tests: query answers of every access method, in both
 //! execution modes, always match a brute-force reference.
 
+use mquery::core::EngineOptions;
 use mquery::prelude::*;
 use proptest::prelude::*;
 
@@ -115,7 +116,10 @@ proptest! {
         let with = QueryEngine::new(&disk, &scan, Euclidean)
             .multiple_similarity_query(queries.clone());
         let without = QueryEngine::new(&disk, &scan, Euclidean)
-            .without_avoidance()
+            .with_options(EngineOptions {
+                avoidance: false,
+                ..EngineOptions::default()
+            })
             .multiple_similarity_query(queries);
         prop_assert_eq!(with, without);
     }

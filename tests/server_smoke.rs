@@ -18,7 +18,10 @@ fn served_answers_match_local_engine() {
     let db = PagedDatabase::pack(&dataset, PageLayout::new(512, 16));
     let scan = LinearScan::new(db.page_count());
     let backend = EngineBackend::new(db, Box::new(scan), 0.10, true);
-    let config = ServerConfig::default().with_max_wait(Duration::from_millis(1));
+    let config = ServerConfig {
+        max_wait: Duration::from_millis(1),
+        ..ServerConfig::default()
+    };
     let mut server =
         FrontServer::bind("127.0.0.1:0", Box::new(backend), &config).expect("bind loopback");
 
